@@ -7,9 +7,9 @@ of the structural and region-baseline approaches), ``export`` (DOT and
 marking-generation-set renderings), and a reproducible ``fuzz`` loop for
 random agreement testing.
 
-Exit codes: 0 success, 2 parse/usage error, 3 invalid marking or unknown
-place, 4 state-space cap exceeded, 1 internal error.  JSON output is
-byte-stable: keys and label arrays are sorted.
+Exit codes: 0 success, 2 parse/usage error, 3 malformed, unreachable or
+unknown-place marking, 4 state-space cap exceeded, 1 internal error.  JSON
+output is byte-stable: keys and label arrays are sorted.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 import sys
 import traceback
 
-from .ctree import build_ctree, ctree_dot, gcs, mgs_text
+from .ctree import build_ctree, ctree_dot, gcs, generates, mgs_text
 from .ecws import BlockTree, build_net, format_tree, parse
 from .errors import (
     ParseError,
@@ -85,6 +85,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise UnknownPlaceError(
                 f"marking references unknown places: {', '.join(sorted(unknown))}"
             )
+        # the old C-tree generates exactly the old net's reachable markings
+        if not generates(build_ctree(old), marking):
+            text = marking_text(marking)
+            print(
+                f"error: marking {text} is not reachable in the old net", file=sys.stderr
+            )
+            return 3
         payload["decision"] = decide_marking(marking, report).value
     _emit(payload)
     return 0
@@ -219,7 +226,11 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
+    seed = args.seed
+    if seed is None:
+        seed = random.SystemRandom().randrange(2**32)
+        print(f"fuzz seed: {seed}", file=sys.stderr)
+    rng = random.Random(seed)
     for n in range(1, args.count + 1):
         old, new = random_net_pair(rng)
         problems = check_pair_agreement(old, new, cap=args.cap)
@@ -227,7 +238,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             old, new = shrink_pair(
                 old, new, lambda o, n: bool(check_pair_agreement(o, n, cap=args.cap))
             )
-            print(f"disagreement after {n} pairs (seed {args.seed}):", file=sys.stderr)
+            print(f"disagreement after {n} pairs (seed {seed}):", file=sys.stderr)
             print(f"  old: {format_tree(old)}", file=sys.stderr)
             print(f"  new: {format_tree(new)}", file=sys.stderr)
             for problem in check_pair_agreement(old, new, cap=args.cap):
@@ -258,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        metavar="{analyze,oracle,compare,export}",
+        metavar="{analyze,oracle,compare,export,fuzz}",
     )
 
     p = sub.add_parser(
@@ -309,7 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot", "mgs"), default=None)
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("fuzz", parents=[common])
+    p = sub.add_parser(
+        "fuzz",
+        parents=[common],
+        help="compare the analysis with the oracle on random pairs",
+    )
     p.add_argument("--count", type=int, default=200, metavar="N")
     p.set_defaults(func=cmd_fuzz)
 

@@ -9,11 +9,12 @@ branch.  Sequences, choices, and loops never deepen the tree; only parallel
 blocks do.
 
 On top of the tree this module provides: the set of places concurrent with a
-given place (:func:`gcs`), exhaustive and sampled marking generation,
-deletion of places, the dysfunctionality test (can the tree still generate a
-marking?), break-off sets (place sets hitting every marking), and the
-marking-preserving embedding check (:func:`mpe_exists`) that decides whether
-every marking one tree generates is also generable by another.
+given place (:func:`gcs`), exhaustive and sampled marking generation, the
+membership test for one marking (:func:`generates`), deletion of places, the
+dysfunctionality test (can the tree still generate a marking?), break-off
+sets (place sets hitting every marking), and the marking-preserving
+embedding check (:func:`mpe_exists`) that decides whether every marking one
+tree generates is also generable by another.
 """
 
 from __future__ import annotations
@@ -44,12 +45,42 @@ class CNode:
     def blocks(self) -> tuple["CBlock", ...]:
         return tuple(el for el in self.elements if isinstance(el, CBlock))
 
+    @cached_property
+    def generable(self) -> bool:
+        """Can this node generate at least one marking?"""
+        return any(isinstance(el, str) or el.generable for el in self.elements)
+
+    @cached_property
+    def place_index(self) -> dict[str, "Route"]:
+        """Every place below this node mapped to its route, in one walk.
+
+        Places held by one node share one route object, so a route's
+        identity names the node.  A label occurring twice keeps the route of
+        its first node in walk order (own places before blocks).
+        """
+        index: dict[str, Route] = {}
+        stack: list[tuple[CNode, Route]] = [(self, ())]
+        while stack:
+            node, route = stack.pop()
+            for el in node.elements:
+                if isinstance(el, str):
+                    index.setdefault(el, route)
+            for block in reversed(node.blocks):
+                for i in reversed(range(len(block.branches))):
+                    stack.append((block.branches[i], (*route, (block, i))))
+        return index
+
 
 @dataclass(frozen=True)
 class CBlock:
     """A parallel block: one branch node per concurrent branch."""
 
     branches: tuple[CNode, ...]
+
+    @cached_property
+    def generable(self) -> bool:
+        """Can every branch generate a marking (so the block realizes one)?"""
+        return all(b.generable for b in self.branches)
 
 
 CTree = CNode
@@ -58,6 +89,10 @@ CTree = CNode
 #: nesting level, where the block index counts only the CBlock elements of a
 #: node, in element order.  The root's path is the empty tuple.
 NodePath = tuple[tuple[int, int], ...]
+
+#: Route from a tree's root to a node: one (on-path block, branch index) step
+#: per nesting level.  The root's route is the empty tuple.
+Route = tuple[tuple[CBlock, int], ...]
 
 
 # ── construction ────────────────────────────────────────────────────────────
@@ -104,14 +139,6 @@ def places(c: CTree) -> frozenset[str]:
     return frozenset(acc)
 
 
-def node_at(c: CTree, path: NodePath) -> CNode:
-    """Navigate to the node addressed by ``path`` (see :data:`NodePath`)."""
-    node = c
-    for block_idx, branch_idx in path:
-        node = node.blocks[block_idx].branches[branch_idx]
-    return node
-
-
 # ── concurrent-submarking generator ─────────────────────────────────────────
 
 
@@ -123,33 +150,21 @@ def gcs(p: str, c: CTree) -> CTree:
     branch is cut off at the last step.  A place held by the root node is
     concurrent with nothing: its result is the empty tree.
     """
-    path = _path_to(p, c)
-    if path is None:
+    route = c.place_index.get(p)
+    if route is None:
         raise UnknownPlaceError(f"place {p!r} does not occur in the tree")
-    if not path:
+    if not route:
         return CNode(())
-    _, block, branch_idx = path[-1]
+    block, branch_idx = route[-1]
     cut = tuple(b for i, b in enumerate(block.branches) if i != branch_idx)
     current = CBlock(cut)
-    for _, block, branch_idx in reversed(path[:-1]):
+    for block, branch_idx in reversed(route[:-1]):
         connector = CNode((current,))
         replaced = tuple(
             connector if i == branch_idx else b for i, b in enumerate(block.branches)
         )
         current = CBlock(replaced)
     return CNode((current,))
-
-
-def _path_to(p: str, c: CTree) -> list[tuple[CNode, CBlock, int]] | None:
-    """Steps (node, on-path block, branch index) to the node holding p."""
-    if p in c.own_places:
-        return []
-    for block in c.blocks:
-        for i, branch in enumerate(block.branches):
-            rest = _path_to(p, branch)
-            if rest is not None:
-                return [(c, block, i), *rest]
-    return None
 
 
 # ── marking generation ──────────────────────────────────────────────────────
@@ -184,7 +199,7 @@ def sample_marking(c: CTree, rng: random.Random | None = None) -> Marking:
         raise ValueError("the tree generates no markings")
 
     def draw(node: CNode) -> frozenset[str]:
-        viable = [el for el in node.elements if _generable_element(el)]
+        viable = [el for el in node.elements if isinstance(el, str) or el.generable]
         el = rng.choice(viable)
         if isinstance(el, str):
             return frozenset((el,))
@@ -194,6 +209,36 @@ def sample_marking(c: CTree, rng: random.Random | None = None) -> Marking:
         return picked
 
     return draw(c)
+
+
+def generates(c: CTree, m: Marking) -> bool:
+    """Is ``m`` one of the markings the tree generates?
+
+    One walk over the tree, for trees whose labels are unique.  Every node
+    that holds a place of ``m`` below it must pick exactly one element: a
+    place of ``m``, or the one block holding the rest, whose branches must
+    then each generate their share.
+    """
+    found = 0
+
+    def share(node: CNode) -> bool | None:
+        """None if no place of m lies below; else whether they form a marking."""
+        nonlocal found
+        hits: list[bool] = []
+        for el in node.elements:
+            if isinstance(el, str):
+                if el in m:
+                    found += 1
+                    hits.append(True)
+            else:
+                parts = [share(b) for b in el.branches]
+                if any(part is not None for part in parts):
+                    hits.append(all(parts))
+        if not hits:
+            return None
+        return len(hits) == 1 and hits[0]
+
+    return bool(share(c)) and found == len(m)
 
 
 # ── deletion, dysfunctionality, break-off ───────────────────────────────────
@@ -211,16 +256,6 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
                 CBlock(tuple(delete_places(b, labels) for b in el.branches))
             )
     return CNode(tuple(new_elements))
-
-
-def _generable_element(el: "str | CBlock") -> bool:
-    if isinstance(el, str):
-        return True
-    return all(_generable(b) for b in el.branches)
-
-
-def _generable(node: CNode) -> bool:
-    return any(_generable_element(el) for el in node.elements)
 
 
 def has_empty_path(c: CTree) -> bool:
@@ -243,9 +278,7 @@ def has_empty_path(c: CTree) -> bool:
 
 def is_dysfunctional(c: CTree) -> bool:
     """True iff the tree generates no marking at all."""
-    if not has_empty_path(c):
-        return False
-    return not _generable(c)
+    return not c.generable
 
 
 def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
@@ -260,7 +293,26 @@ def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
 # ── marking-preserving embedding ────────────────────────────────────────────
 
 
-def mpe_exists(c: CTree, c2: CTree) -> bool:
+class EmbeddingMemo:
+    """Node-pair verdicts shared by several embedding checks.
+
+    A verdict depends only on the two subtrees, and :func:`gcs` keeps
+    sibling branches as the original objects, so checks on the gcs trees of
+    one pair of nets share most node pairs.  Keys are node identities, so the
+    memo holds every tree it has checked: a node freed while the memo lives
+    could hand its id to a new node and inherit a wrong verdict.  Drop the
+    memo when the checks are done.
+    """
+
+    def __init__(self) -> None:
+        self.verdicts: dict[tuple[int, int], bool] = {}
+        self._held: list[tuple[CTree, CTree]] = []
+
+    def hold(self, c: CTree, c2: CTree) -> None:
+        self._held.append((c, c2))
+
+
+def mpe_exists(c: CTree, c2: CTree, memo: EmbeddingMemo | None = None) -> bool:
     """Can ``c2`` generate every marking that ``c`` generates?
 
     Checked structurally: each node's places must reappear in the matched
@@ -268,9 +320,13 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
     onto a distinct block there, and matched blocks must pair up their
     branches one-to-one (equal branch counts), recursively.  A block with a
     dead branch (possible after place deletion) never realizes a marking, so
-    it imposes no requirement on ``c2``.
+    it imposes no requirement on ``c2``.  Pass one ``memo`` to a series of
+    checks to share node-pair verdicts between them.
     """
-    return find_embedding(c, c2) is not None
+    if memo is None:
+        memo = EmbeddingMemo()
+    memo.hold(c, c2)
+    return _node_ok(c, c2, memo.verdicts)
 
 
 def find_embedding(c: CTree, c2: CTree) -> dict[NodePath, NodePath] | None:
@@ -280,58 +336,21 @@ def find_embedding(c: CTree, c2: CTree) -> dict[NodePath, NodePath] | None:
     of ``c2`` it embeds into (paths as in :data:`NodePath`).  Subtrees inside
     non-generable blocks carry no markings and are absent from the witness.
     """
-    memo: dict[tuple[int, int], bool] = {}
-
-    def _live_blocks(n: CNode) -> list[int]:
-        return [i for i, b in enumerate(n.blocks) if _generable_element(b)]
-
-    def node_ok(n: CNode, n2: CNode) -> bool:
-        key = (id(n), id(n2))
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # break self-recursion defensively; trees are acyclic
-        ok = n.own_places <= n2.own_places and _match_blocks(n, n2) is not None
-        memo[key] = ok
-        return ok
-
-    def _match_blocks(n: CNode, n2: CNode) -> list[int] | None:
-        """Injective assignment of n's live blocks into n2's; None if impossible."""
-        live = _live_blocks(n)
-        return _max_matching(
-            len(live),
-            len(n2.blocks),
-            lambda i, j: _block_pair_ok(n.blocks[live[i]], n2.blocks[j]),
-        )
-
-    def _block_pair_ok(b: CBlock, b2: CBlock) -> bool:
-        if len(b.branches) != len(b2.branches):
-            return False
-        return (
-            _max_matching(
-                len(b.branches),
-                len(b2.branches),
-                lambda i, j: node_ok(b.branches[i], b2.branches[j]),
-            )
-            is not None
-        )
-
-    if not node_ok(c, c2):
+    verdicts: dict[tuple[int, int], bool] = {}
+    if not _node_ok(c, c2, verdicts):
         return None
 
     witness: dict[NodePath, NodePath] = {}
 
     def record(n: CNode, n2: CNode, path: NodePath, path2: NodePath) -> None:
         witness[path] = path2
-        assignment = _match_blocks(n, n2)
+        live = _live_blocks(n)
+        assignment = _match_blocks(n, n2, verdicts)
         assert assignment is not None
         for local, j in enumerate(assignment):
-            i = _live_blocks(n)[local]
+            i = live[local]
             b, b2 = n.blocks[i], n2.blocks[j]
-            branch_map = _max_matching(
-                len(b.branches),
-                len(b2.branches),
-                lambda x, y, _b=b, _b2=b2: node_ok(_b.branches[x], _b2.branches[y]),
-            )
+            branch_map = _match_branches(b, b2, verdicts)
             assert branch_map is not None
             for x, y in enumerate(branch_map):
                 record(
@@ -343,6 +362,46 @@ def find_embedding(c: CTree, c2: CTree) -> dict[NodePath, NodePath] | None:
 
     record(c, c2, (), ())
     return witness
+
+
+def _live_blocks(n: CNode) -> list[int]:
+    return [i for i, b in enumerate(n.blocks) if b.generable]
+
+
+def _node_ok(n: CNode, n2: CNode, verdicts: dict[tuple[int, int], bool]) -> bool:
+    key = (id(n), id(n2))
+    ok = verdicts.get(key)
+    if ok is None:
+        verdicts[key] = False  # break self-recursion defensively; trees are acyclic
+        ok = n.own_places <= n2.own_places and _match_blocks(n, n2, verdicts) is not None
+        verdicts[key] = ok
+    return ok
+
+
+def _match_blocks(
+    n: CNode, n2: CNode, verdicts: dict[tuple[int, int], bool]
+) -> list[int] | None:
+    """Injective assignment of n's live blocks into n2's; None if impossible."""
+    live = _live_blocks(n)
+    return _max_matching(
+        len(live),
+        len(n2.blocks),
+        lambda i, j: _match_branches(n.blocks[live[i]], n2.blocks[j], verdicts)
+        is not None,
+    )
+
+
+def _match_branches(
+    b: CBlock, b2: CBlock, verdicts: dict[tuple[int, int], bool]
+) -> list[int] | None:
+    """One-to-one pairing of the branches of two blocks; None if impossible."""
+    if len(b.branches) != len(b2.branches):
+        return None
+    return _max_matching(
+        len(b.branches),
+        len(b2.branches),
+        lambda i, j: _node_ok(b.branches[i], b2.branches[j], verdicts),
+    )
 
 
 def _max_matching(n_left: int, n_right: int, edge) -> list[int] | None:

@@ -184,7 +184,24 @@ class Parser:
 
     def parse_pnet(self) -> SeqBlock:
         """A place-bordered sequence: the body of a net, branch, or loop."""
-        children: list[Element] = [self._place()]
+        return self._sequence(self._place())
+
+    def parse_tnet(self, closer: str) -> SeqBlock:
+        """A transition-bordered sequence: a choice branch or a loop's back part.
+
+        Between its border transitions sits a sequence that may start with a
+        parallel or loop block, since a transition precedes it.
+        """
+        first = self._transition()
+        if self._peek().kind == closer:
+            return SeqBlock((first,))
+        body = self._sequence(self._place_like())
+        last = self._transition()
+        return SeqBlock((first, *body.children, last))
+
+    def _sequence(self, first: Element) -> SeqBlock:
+        """The rest of a sequence whose first place-like element is parsed."""
+        children: list[Element] = [first]
         while True:
             token = self._peek()
             if token.kind == "[":
@@ -197,13 +214,7 @@ class Parser:
                 if self.tokens[self.pos + 1].kind not in ("ident", "(", "{"):
                     return SeqBlock(tuple(children))
                 children.append(Transition(self._advance().text))
-                nxt = self._peek()
-                if nxt.kind == "(":
-                    children.append(self._and())
-                elif nxt.kind == "{":
-                    children.append(self._loop())
-                else:
-                    children.append(self._place())
+                children.append(self._place_like())
             elif token.kind in "({":
                 self._error(
                     "a parallel or loop block must be preceded by a transition", token
@@ -211,14 +222,14 @@ class Parser:
             else:
                 return SeqBlock(tuple(children))
 
-    def parse_tnet(self, closer: str) -> SeqBlock:
-        """A transition-bordered sequence: a choice branch or a loop's back part."""
-        first = self._transition()
-        if self._peek().kind == closer:
-            return SeqBlock((first,))
-        body = self.parse_pnet()
-        last = self._transition()
-        return SeqBlock((first, *body.children, last))
+    def _place_like(self) -> Element:
+        """A place, parallel block or loop block: what may follow a transition."""
+        kind = self._peek().kind
+        if kind == "(":
+            return self._and()
+        if kind == "{":
+            return self._loop()
+        return self._place()
 
     def _place(self) -> Place:
         return Place(self._expect("ident", "a place label").text)
@@ -259,7 +270,8 @@ class Parser:
 def parse(text: str) -> SeqBlock:
     """Parse ECWS text into a validated block tree."""
     tree = Parser(tokenize(text)).parse_net()
-    validate_tree(tree)
+    # every label came from the lexer, so it is a single token already
+    _validate(tree, relex=False)
     return tree
 
 
@@ -274,12 +286,16 @@ def validate_tree(tree: BlockTree) -> None:
     lexer could not reproduce as a single token, which would break the
     parse/format round trip.
     """
+    _validate(tree, relex=True)
+
+
+def _validate(tree: BlockTree, relex: bool) -> None:
     _validate_pnet(tree)
     seen: set[str] = set()
     for label in iter_labels(tree):
         if label in seen:
             raise DuplicateLabelError(f"label {label!r} occurs more than once")
-        if not _is_single_token(label):
+        if relex and not _is_single_token(label):
             raise ParseError(f"label {label!r} does not survive relexing")
         seen.add(label)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .ctree import (
     CTree,
+    EmbeddingMemo,
     delete_places,
     gcs,
     is_breakoff,
@@ -65,31 +66,37 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
     concurrent in both nets are compared through their concurrent-submarking
     trees — an embedding failure means weak reformed concurrency, and weak
     plus a break-off of the places lost from (or new in) the concurrent
-    surroundings means strong.
+    surroundings means strong.  A place's gcs depends only on the node
+    holding it, so the reformed verdict is computed once per pair of old and
+    new node, and all those checks share one embedding memo.
     """
     r: set[str] = set()
     lc: set[str] = set()
     ac: set[str] = set()
     wrc: set[str] = set()
     src: set[str] = set()
-    new_places = places(c2)
-    for p in sorted(places(c)):
-        in_root_old = p in c.own_places
-        in_root_new = p in c2.own_places
-        if p not in new_places:
+    routes_new = c2.place_index
+    memo = EmbeddingMemo()
+    verdicts: dict[tuple[int, int], tuple[bool, bool]] = {}
+    for p, route in c.place_index.items():
+        route2 = routes_new.get(p)
+        if route2 is None:
             r.add(p)
-        elif not in_root_old and in_root_new:
+        elif route and not route2:
             lc.add(p)
-        elif in_root_old and not in_root_new:
+        elif not route and route2:
             ac.add(p)
-        elif not in_root_old and not in_root_new:
-            g, g2 = gcs(p, c), gcs(p, c2)
-            if not mpe_exists(g, g2):
+        elif route and route2:
+            # places of one node share one route object (see place_index)
+            key = (id(route), id(route2))
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = _reformed(p, c, c2, memo)
+            weak, strong = verdict
+            if weak:
                 wrc.add(p)
-                lost = places(g) - places(g2)
-                gained = places(g2) - places(g)
-                if is_breakoff(g, lost) or is_breakoff(g2, gained):
-                    src.add(p)
+            if strong:
+                src.add(p)
     return ChangeSets(
         cr_r=frozenset(r),
         cr_lc=frozenset(lc),
@@ -97,6 +104,16 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
         cr_wrc=frozenset(wrc),
         cr_src=frozenset(src),
     )
+
+
+def _reformed(p: str, c: CTree, c2: CTree, memo: EmbeddingMemo) -> tuple[bool, bool]:
+    """(weak, strong) reformed concurrency of a place concurrent in both trees."""
+    g, g2 = gcs(p, c), gcs(p, c2)
+    if mpe_exists(g, g2, memo):
+        return False, False
+    lost = places(g) - places(g2)
+    gained = places(g2) - places(g)
+    return True, is_breakoff(g, lost) or is_breakoff(g2, gained)
 
 
 def member_sets(cs: ChangeSets) -> tuple[frozenset[str], frozenset[str]]:

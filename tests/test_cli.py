@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+import wfregions.cli as cli
 from wfregions.cli import main
 
 from conftest import FIXTURES
@@ -76,6 +78,19 @@ def test_analyze_unknown_marking_place(capsys):
     )
     assert code == 3
     assert "unknown places" in err
+
+
+@pytest.mark.parametrize("marking", ["p1,p6", "p2"])
+def test_analyze_unreachable_marking(capsys, marking):
+    # p1 and p6 are never marked together; p2 is always marked with p4 or p5
+    code, out, err = run(
+        capsys,
+        "analyze", fx("parallel_old"), fx("branchswap_new"),
+        "--marking", marking,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: marking {marking} is not reachable in the old net\n"
 
 
 def test_analyze_malformed_marking(capsys):
@@ -232,6 +247,18 @@ def test_fuzz_is_deterministic_per_seed(capsys):
     assert first == second
 
 
+def test_fuzz_without_seed_prints_a_replayable_seed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_pair_agreement", lambda old, new, cap: ["forced"])
+    code, _, err = run(capsys, "fuzz", "--count", "5")
+    assert code == 1
+    first_line, report = err.split("\n", 1)
+    seed = re.fullmatch(r"fuzz seed: (\d+)", first_line).group(1)
+    assert report.startswith(f"disagreement after 1 pairs (seed {seed}):")
+    code, _, replay = run(capsys, "fuzz", "--count", "5", "--seed", seed)
+    assert code == 1
+    assert replay == report
+
+
 # ── argument errors ──────────────────────────────────────────────────────────
 
 
@@ -239,6 +266,7 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    assert "{analyze,oracle,compare,export,fuzz}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

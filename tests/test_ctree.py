@@ -17,6 +17,7 @@ from wfregions import (
     delete_places,
     find_embedding,
     gcs,
+    generates,
     has_empty_path,
     is_breakoff,
     is_dysfunctional,
@@ -280,3 +281,15 @@ def test_sampling_agrees_with_enumeration(seed):
     valid = markings_of(c)
     for _ in range(5):
         assert sample_marking(c, rng) in valid
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), data=st.data())
+def test_membership_agrees_with_enumeration(seed, data):
+    # on deletion residues too, where blocks can be dead
+    c = _tree(seed)
+    d = delete_places(c, _subset(data, places(c), "deleted"))
+    valid = markings_of(d)
+    assert all(generates(d, m) for m in valid)
+    m = _subset(data, places(c), "m")
+    assert generates(d, m) == (m in valid)

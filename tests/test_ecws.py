@@ -21,6 +21,7 @@ from wfregions import (
     format_tree,
     parse,
     place_labels,
+    mutate,
     random_tree,
     transition_labels,
     validate_tree,
@@ -40,6 +41,9 @@ CANONICAL = [
     "p1t1p2t2(p11t8(p3t3p4)(p5t4p6)t5p9)(p7t6p8)t7p10",
     "p1t1{p2t2p3t3p4}{t4p5t5}t6p6",
     "p1t1{p2[t2p3t3][t7p7t8]p4}{t4p5t5}t6p6",
+    # choice branches and loop back parts opening with a block
+    "p1[t1(p2)(p3)t2][t3]p4",
+    "p1t1{p2}{t2{p3}{t3}t4}t5p4",
 ]
 
 
@@ -204,6 +208,18 @@ def test_random_tree_round_trip(seed):
     text = format_tree(tree)
     assert parse(text) == tree
     assert format_tree(parse(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_mutated_tree_round_trip(seed):
+    # mutations build shapes random_tree never draws, such as a choice
+    # branch whose body opens with a parallel block
+    rng = random.Random(seed)
+    tree = random_tree(rng, 5, 20)
+    for _ in range(3):
+        tree = mutate(tree, rng)
+        assert parse(format_tree(tree)) == tree
 
 
 # ── label queries ────────────────────────────────────────────────────────────

@@ -4,10 +4,15 @@ decisions, each cross-checked against the exhaustive oracle."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import wfregions.regions as regions
 
 from wfregions import (
+    ChangeSets,
     Decision,
     MemberClass,
     analyze,
@@ -17,15 +22,22 @@ from wfregions import (
     check_pair_agreement,
     decide_marking,
     delete_places,
+    format_tree,
+    gcs,
     is_breakoff,
     marking_text,
     member_sets,
     mpe_exists,
     oracle_classify,
     parse,
+    places,
     pscr_exists,
+    random_net_pair,
+    random_tree,
     report_json,
 )
+from wfregions.ecws import tokenize
+from wfregions.randomnets import mutate_transpose_places
 
 from conftest import fixture_pair, load_fixture
 
@@ -86,6 +98,114 @@ def test_member_sets_split():
     over, perf = member_sets(cs)
     assert over == {"u1", "u2", "u3"}
     assert perf == {"PC_enabled", "PC"}
+
+
+# ── change_sets against the per-place reference ─────────────────────────────
+
+
+def reference_change_sets(c, c2) -> ChangeSets:
+    """One gcs pair, embedding check and break-off test per old place."""
+    r, lc, ac, wrc, src = set(), set(), set(), set(), set()
+    new_places = places(c2)
+    for p in sorted(places(c)):
+        in_root_old = p in c.own_places
+        in_root_new = p in c2.own_places
+        if p not in new_places:
+            r.add(p)
+        elif not in_root_old and in_root_new:
+            lc.add(p)
+        elif in_root_old and not in_root_new:
+            ac.add(p)
+        elif not in_root_old and not in_root_new:
+            g, g2 = gcs(p, c), gcs(p, c2)
+            if not mpe_exists(g, g2):
+                wrc.add(p)
+                lost = places(g) - places(g2)
+                gained = places(g2) - places(g)
+                if is_breakoff(g, lost) or is_breakoff(g2, gained):
+                    src.add(p)
+    return ChangeSets(*map(frozenset, (r, lc, ac, wrc, src)))
+
+
+def prefixed(text: str, prefix: str) -> str:
+    return " ".join(
+        prefix + tok.text if tok.kind == "ident" else tok.text
+        for tok in tokenize(text)[:-1]
+    )
+
+
+def composed_pair(seed: int, chunks: int = 6):
+    """Chunks of two random segments in parallel, joined in series; the new
+    net mutates every segment once or twice, so many nodes change."""
+    rng = random.Random(seed)
+    texts = ["w0", "w0"]
+    for k in range(chunks):
+        segments = [random_net_pair(rng, 5, 15) for _ in range(2)]
+        for side in (0, 1):
+            branches = "".join(
+                "(" + prefixed(format_tree(pair[side]), f"s{k}{i}_") + ")"
+                for i, pair in enumerate(segments)
+            )
+            texts[side] += f" a{k} {branches} b{k} w{k + 1}"
+    return parse(texts[0]), parse(texts[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_change_sets_equal_the_reference(seed):
+    old, new = random_net_pair(random.Random(seed), 5, 30)
+    c, c2 = build_ctree(old), build_ctree(new)
+    assert change_sets(c, c2) == reference_change_sets(c, c2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_change_sets_equal_the_reference_on_composed_pairs(seed):
+    c, c2 = map(build_ctree, composed_pair(seed))
+    assert change_sets(c, c2) == reference_change_sets(c, c2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_change_sets_equal_the_reference_on_transpositions(seed):
+    rng = random.Random(seed)
+    old = random_tree(rng, 8, 40)
+    new = mutate_transpose_places(old, rng) or old
+    c, c2 = build_ctree(old), build_ctree(new)
+    assert change_sets(c, c2) == reference_change_sets(c, c2)
+
+
+def test_gcs_runs_at_most_twice_per_node_pair(monkeypatch):
+    c, c2 = map(build_ctree, composed_pair(7))
+
+    def holders(tree):
+        out, stack = {}, [tree]
+        while stack:
+            node = stack.pop()
+            for el in node.elements:
+                if isinstance(el, str):
+                    out[el] = node
+                else:
+                    stack.extend(el.branches)
+        return out
+
+    old_at, new_at = holders(c), holders(c2)
+    concurrent = [
+        p for p in old_at
+        if p in new_at and old_at[p] is not c and new_at[p] is not c2
+    ]
+    groups = {(id(old_at[p]), id(new_at[p])) for p in concurrent}
+    assert len(groups) < len(concurrent)
+
+    calls = []
+
+    def counting_gcs(p, tree):
+        calls.append(p)
+        return gcs(p, tree)
+
+    monkeypatch.setattr(regions, "gcs", counting_gcs)
+    assert change_sets(c, c2) == reference_change_sets(c, c2)
+    assert 0 < len(calls) <= 2 * len(groups)
 
 
 # ── SCR / PSCR on the fixture pairs ──────────────────────────────────────────
