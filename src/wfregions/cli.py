@@ -248,20 +248,17 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
+def _add_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--cap",
         type=int,
         default=DEFAULT_STATE_CAP,
         metavar="N",
         help="abort reachability search beyond N markings",
     )
-    common.add_argument(
-        "--seed", type=int, default=None, metavar="S", help="random seed"
-    )
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wfregions",
         description="Structural change regions for block-structured workflow nets.",
@@ -272,11 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="{analyze,oracle,compare,export,fuzz}",
     )
 
-    p = sub.add_parser(
-        "analyze",
-        parents=[common],
-        help="compute change regions for an old/new net pair",
-    )
+    p = sub.add_parser("analyze", help="compute change regions for an old/new net pair")
     p.add_argument("old")
     p.add_argument("new")
     p.add_argument(
@@ -286,29 +279,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser(
-        "oracle",
-        parents=[common],
-        help="brute-force comparison of reachable markings",
-    )
+    p = sub.add_parser("oracle", help="brute-force comparison of reachable markings")
     p.add_argument("old")
     p.add_argument("new")
+    _add_cap(p)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser(
-        "compare",
-        parents=[common],
-        help="score decision approaches against the oracle",
-    )
+    p = sub.add_parser("compare", help="score decision approaches against the oracle")
     p.add_argument("old")
     p.add_argument("new")
+    _add_cap(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "export",
-        parents=[common],
-        help="render a net, its composition tree, or a subtree",
-    )
+    p = sub.add_parser("export", help="render a net, its composition tree, or a subtree")
     p.add_argument("file")
     p.add_argument(
         "--what",
@@ -320,12 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot", "mgs"), default=None)
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser(
-        "fuzz",
-        parents=[common],
-        help="compare the analysis with the oracle on random pairs",
-    )
+    p = sub.add_parser("fuzz", help="compare the analysis with the oracle on random pairs")
     p.add_argument("--count", type=int, default=200, metavar="N")
+    _add_cap(p)
+    p.add_argument("--seed", type=int, default=None, metavar="S", help="random seed")
     p.set_defaults(func=cmd_fuzz)
 
     return parser

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ecws import AndBlock, BlockTree, LoopBlock, Place, SeqBlock, Transition, XorBlock
+from .ecws import AndBlock, BlockTree, Place, SeqBlock, Transition, branches_of
 from .errors import UnknownPlaceError
 from .wfnet import Marking
 
@@ -85,11 +85,6 @@ class CBlock:
 
 CTree = CNode
 
-#: Path of a node inside a tree: one (block index, branch index) step per
-#: nesting level, where the block index counts only the CBlock elements of a
-#: node, in element order.  The root's path is the empty tuple.
-NodePath = tuple[tuple[int, int], ...]
-
 #: Route from a tree's root to a node: one (on-path block, branch index) step
 #: per nesting level.  The root's route is the empty tuple.
 Route = tuple[tuple[CBlock, int], ...]
@@ -114,13 +109,9 @@ def build_ctree(tree: BlockTree) -> CTree:
                 continue
             elif isinstance(child, AndBlock):
                 yield CBlock(tuple(CNode(tuple(collect(b))) for b in child.branches))
-            elif isinstance(child, XorBlock):
-                for branch in child.branches:
-                    yield from collect(branch)
             else:
-                assert isinstance(child, LoopBlock)
-                yield from collect(child.forward)
-                yield from collect(child.back)
+                for branch in branches_of(child):
+                    yield from collect(branch)
 
     return CNode(tuple(collect(tree)))
 
@@ -258,24 +249,6 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
     return CNode(tuple(new_elements))
 
 
-def has_empty_path(c: CTree) -> bool:
-    """Fast screen: can a walk from the root die in a place-free dead end?
-
-    A node with no place elements whose blocks all run into further empty
-    paths cannot generate anything, so every dysfunctional tree has an empty
-    path.  The converse fails — a sibling branch may still provide places —
-    so a ``True`` here only means "possibly dysfunctional"; ``False`` proves
-    the tree functional.
-    """
-    if c.own_places:
-        return False
-    if not c.elements:
-        return True
-    return any(
-        any(has_empty_path(b) for b in block.branches) for block in c.blocks
-    )
-
-
 def is_dysfunctional(c: CTree) -> bool:
     """True iff the tree generates no marking at all."""
     return not c.generable
@@ -329,41 +302,6 @@ def mpe_exists(c: CTree, c2: CTree, memo: EmbeddingMemo | None = None) -> bool:
     return _node_ok(c, c2, memo.verdicts)
 
 
-def find_embedding(c: CTree, c2: CTree) -> dict[NodePath, NodePath] | None:
-    """Like :func:`mpe_exists` but returns a node-path witness.
-
-    The witness maps the path of every node of ``c`` to the path of the node
-    of ``c2`` it embeds into (paths as in :data:`NodePath`).  Subtrees inside
-    non-generable blocks carry no markings and are absent from the witness.
-    """
-    verdicts: dict[tuple[int, int], bool] = {}
-    if not _node_ok(c, c2, verdicts):
-        return None
-
-    witness: dict[NodePath, NodePath] = {}
-
-    def record(n: CNode, n2: CNode, path: NodePath, path2: NodePath) -> None:
-        witness[path] = path2
-        live = _live_blocks(n)
-        assignment = _match_blocks(n, n2, verdicts)
-        assert assignment is not None
-        for local, j in enumerate(assignment):
-            i = live[local]
-            b, b2 = n.blocks[i], n2.blocks[j]
-            branch_map = _match_branches(b, b2, verdicts)
-            assert branch_map is not None
-            for x, y in enumerate(branch_map):
-                record(
-                    b.branches[x],
-                    b2.branches[y],
-                    (*path, (i, x)),
-                    (*path2, (j, y)),
-                )
-
-    record(c, c2, (), ())
-    return witness
-
-
 def _live_blocks(n: CNode) -> list[int]:
     return [i for i, b in enumerate(n.blocks) if b.generable]
 
@@ -373,30 +311,25 @@ def _node_ok(n: CNode, n2: CNode, verdicts: dict[tuple[int, int], bool]) -> bool
     ok = verdicts.get(key)
     if ok is None:
         verdicts[key] = False  # break self-recursion defensively; trees are acyclic
-        ok = n.own_places <= n2.own_places and _match_blocks(n, n2, verdicts) is not None
+        ok = n.own_places <= n2.own_places and _blocks_match(n, n2, verdicts)
         verdicts[key] = ok
     return ok
 
 
-def _match_blocks(
-    n: CNode, n2: CNode, verdicts: dict[tuple[int, int], bool]
-) -> list[int] | None:
-    """Injective assignment of n's live blocks into n2's; None if impossible."""
+def _blocks_match(n: CNode, n2: CNode, verdicts: dict[tuple[int, int], bool]) -> bool:
+    """Do n's live blocks map injectively onto matching blocks of n2?"""
     live = _live_blocks(n)
     return _max_matching(
         len(live),
         len(n2.blocks),
-        lambda i, j: _match_branches(n.blocks[live[i]], n2.blocks[j], verdicts)
-        is not None,
+        lambda i, j: _branches_match(n.blocks[live[i]], n2.blocks[j], verdicts),
     )
 
 
-def _match_branches(
-    b: CBlock, b2: CBlock, verdicts: dict[tuple[int, int], bool]
-) -> list[int] | None:
-    """One-to-one pairing of the branches of two blocks; None if impossible."""
+def _branches_match(b: CBlock, b2: CBlock, verdicts: dict[tuple[int, int], bool]) -> bool:
+    """Do the branches of two blocks pair up one-to-one?"""
     if len(b.branches) != len(b2.branches):
-        return None
+        return False
     return _max_matching(
         len(b.branches),
         len(b2.branches),
@@ -404,11 +337,10 @@ def _match_branches(
     )
 
 
-def _max_matching(n_left: int, n_right: int, edge) -> list[int] | None:
-    """Left-saturating bipartite matching; returns right index per left node.
+def _max_matching(n_left: int, n_right: int, edge) -> bool:
+    """Does a bipartite matching cover every left node?
 
-    Classic augmenting-path search; returns None when some left node cannot
-    be matched.
+    Classic augmenting-path search.
     """
     match_right: list[int | None] = [None] * n_right
 
@@ -424,12 +356,8 @@ def _max_matching(n_left: int, n_right: int, edge) -> list[int] | None:
 
     for i in range(n_left):
         if not augment(i, set()):
-            return None
-    out: list[int] = [0] * n_left
-    for j, i in enumerate(match_right):
-        if i is not None:
-            out[i] = j
-    return out
+            return False
+    return True
 
 
 # ── text and DOT rendering ──────────────────────────────────────────────────

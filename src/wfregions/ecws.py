@@ -18,11 +18,14 @@ labels.
 
 ``parse`` produces a validated block tree, ``format_tree`` prints the
 canonical separator-free text, and ``build_net`` wires the tree into a
-:class:`~wfregions.wfnet.WfNet`.
+:class:`~wfregions.wfnet.WfNet`.  ``branches_of`` is the one place that
+knows how each kind of block holds its sequences; ``walk``, ``seq_at`` and
+``edit_seq`` visit, find and rebuild sequences by their :data:`SeqPath`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .errors import DuplicateLabelError, LexError, ParseError, SoundnessError
@@ -77,6 +80,82 @@ BlockTree = SeqBlock
 
 _PLACE_LIKE = (Place, AndBlock, LoopBlock)
 _TRANS_LIKE = (Transition, XorBlock)
+
+#: Address of a sequence inside a tree: one (element index, branch index)
+#: step per nesting level, where the branch index counts the sequences of
+#: the block as :func:`branches_of` lists them.  The root's path is ``()``.
+SeqPath = tuple[tuple[int, int], ...]
+
+
+def branches_of(el: Element) -> tuple[SeqBlock, ...]:
+    """The sequences of a block, in order; places and transitions have none.
+
+    A parallel or choice block lists its branches, a loop its forward part
+    and then its back part.
+    """
+    if isinstance(el, LoopBlock):
+        return (el.forward, el.back)
+    if isinstance(el, (AndBlock, XorBlock)):
+        return el.branches
+    return ()
+
+
+def with_branches(el: Element, seqs: tuple[SeqBlock, ...]) -> Element:
+    """The block ``el`` holding ``seqs`` instead: the inverse of :func:`branches_of`."""
+    if isinstance(el, LoopBlock):
+        forward, back = seqs
+        return LoopBlock(forward, back)
+    return type(el)(tuple(seqs))
+
+
+def walk(tree: BlockTree) -> Iterator[tuple[SeqPath, SeqBlock]]:
+    """Every sequence of the tree with its path, in preorder.
+
+    A sequence comes before the sequences nested in it; those follow its
+    elements in order, and each block's sequences in :func:`branches_of`
+    order.  The walk keeps its own stack, so nesting depth is unbounded.
+    """
+    stack: list[tuple[SeqPath, SeqBlock]] = [((), tree)]
+    while stack:
+        path, seq = stack.pop()
+        yield path, seq
+        children = seq.children
+        # pushed last to first, so the first nested sequence is popped next
+        for i in range(len(children) - 1, -1, -1):
+            if not isinstance(children[i], (Place, Transition)):
+                seqs = branches_of(children[i])
+                for b in range(len(seqs) - 1, -1, -1):
+                    stack.append(((*path, (i, b)), seqs[b]))
+
+
+def seq_at(tree: BlockTree, path: SeqPath) -> SeqBlock:
+    """The sequence at ``path``."""
+    seq = tree
+    for i, b in path:
+        seq = branches_of(seq.children[i])[b]
+    return seq
+
+
+def edit_seq(
+    tree: BlockTree,
+    path: SeqPath,
+    fn: Callable[[tuple[Element, ...]], tuple[Element, ...]],
+) -> BlockTree:
+    """The tree with ``fn`` applied to the children of the sequence at ``path``.
+
+    Only the sequences on the path are rebuilt; every other subtree is
+    shared with ``tree``.
+    """
+    on_path = [tree]
+    for i, b in path:
+        on_path.append(branches_of(on_path[-1].children[i])[b])
+    seq = SeqBlock(fn(on_path.pop().children))
+    for (i, b), parent in zip(reversed(path), reversed(on_path)):
+        block = parent.children[i]
+        seqs = branches_of(block)
+        block = with_branches(block, (*seqs[:b], seq, *seqs[b + 1 :]))
+        seq = SeqBlock((*parent.children[:i], block, *parent.children[i + 1 :]))
+    return seq
 
 
 # ── lexer ───────────────────────────────────────────────────────────────────
@@ -150,12 +229,19 @@ def _is_single_token(label: str) -> bool:
 # ── parser ──────────────────────────────────────────────────────────────────
 
 
+#: Deepest bracket nesting the parser accepts.  The parser, ``build_ctree``
+#: and the C-tree embedding recurse at every level, so the bound keeps them
+#: clear of Python's recursion limit.
+MAX_NESTING = 64
+
+
 class Parser:
     """Recursive-descent parser for the ECWS grammar."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # brackets open at the current position
 
     def _peek(self) -> Token:
         return self.tokens[self.pos]
@@ -238,9 +324,9 @@ class Parser:
         return Transition(self._expect("ident", "a transition label").text)
 
     def _and(self) -> AndBlock:
-        branches = [self._group("(", ")", lambda: self.parse_pnet())]
+        branches = [self._group("(", ")", self.parse_pnet)]
         while self._peek().kind == "(":
-            branches.append(self._group("(", ")", lambda: self.parse_pnet()))
+            branches.append(self._group("(", ")", self.parse_pnet))
         if len(branches) < 2:
             self._error("a parallel block needs at least 2 branches")
         return AndBlock(tuple(branches))
@@ -254,16 +340,22 @@ class Parser:
         return XorBlock(tuple(branches))
 
     def _loop(self) -> LoopBlock:
-        forward = self._group("{", "}", lambda: self.parse_pnet())
-        self._expect("{", "the '{' opening the loop's back part")
-        back = self.parse_tnet("}")
-        self._expect("}", "'}'")
+        forward = self._group("{", "}", self.parse_pnet)
+        back = self._group(
+            "{", "}", lambda: self.parse_tnet("}"), "the '{' opening the loop's back part"
+        )
         return LoopBlock(forward, back)
 
-    def _group(self, opener: str, closer: str, inner) -> SeqBlock:
-        self._expect(opener, f"'{opener}'")
+    def _group(
+        self, opener: str, closer: str, inner, what: str | None = None
+    ) -> SeqBlock:
+        token = self._expect(opener, what or f"'{opener}'")
+        if self.depth == MAX_NESTING:
+            self._error(f"bracket nesting deeper than {MAX_NESTING} levels", token)
+        self.depth += 1
         body = inner()
         self._expect(closer, f"'{closer}'")
+        self.depth -= 1
         return body
 
 
@@ -290,9 +382,14 @@ def validate_tree(tree: BlockTree) -> None:
 
 
 def _validate(tree: BlockTree, relex: bool) -> None:
-    _validate_pnet(tree)
+    _check_border(tree, Place)
+    labels: list[str] = []
+    # the walk reaches a sequence only after its parent checked its border
+    for _, seq in walk(tree):
+        _validate_seq(seq)
+        labels += (el.label for el in seq.children if isinstance(el, (Place, Transition)))
     seen: set[str] = set()
-    for label in iter_labels(tree):
+    for label in labels:
         if label in seen:
             raise DuplicateLabelError(f"label {label!r} occurs more than once")
         if relex and not _is_single_token(label):
@@ -300,101 +397,70 @@ def _validate(tree: BlockTree, relex: bool) -> None:
         seen.add(label)
 
 
-def _validate_seq(seq: SeqBlock, place_bordered: bool) -> None:
+def _check_border(seq: SeqBlock, border: type) -> None:
     children = seq.children
     if not children:
         raise ParseError("empty sequence")
-    border = Place if place_bordered else Transition
     if not isinstance(children[0], border) or not isinstance(children[-1], border):
-        kind = "place" if place_bordered else "transition"
+        kind = "place" if border is Place else "transition"
         raise ParseError(f"sequence must start and end with a {kind}")
-    offset = 0 if place_bordered else 1
+
+
+def _validate_seq(seq: SeqBlock) -> None:
+    """Alternation in one sequence whose border is checked, plus its blocks:
+    their neighbours, branch counts and the borders of their sequences."""
+    children = seq.children
+    offset = 0 if isinstance(children[0], Place) else 1
     for i, child in enumerate(children):
         expected = _PLACE_LIKE if (i + offset) % 2 == 0 else _TRANS_LIKE
         if not isinstance(child, expected):
             raise ParseError("sequence does not alternate places and transitions")
-        if isinstance(child, (AndBlock, LoopBlock)):
-            if i == 0 or i == len(children) - 1:
-                raise ParseError("a parallel or loop block cannot border a sequence")
-            if not isinstance(children[i - 1], Transition) or not isinstance(
-                children[i + 1], Transition
-            ):
-                raise ParseError(
-                    "a parallel or loop block must sit between two transitions"
-                )
-        elif isinstance(child, XorBlock):
-            if i == 0 or i == len(children) - 1:
-                raise ParseError("a choice block cannot border a sequence")
-            if not isinstance(children[i - 1], Place) or not isinstance(
-                children[i + 1], Place
-            ):
-                raise ParseError("a choice block must sit between two places")
-    for child in children:
-        if isinstance(child, AndBlock):
-            if len(child.branches) < 2:
-                raise ParseError("a parallel block needs at least 2 branches")
-            for branch in child.branches:
-                _validate_pnet(branch)
-        elif isinstance(child, XorBlock):
-            if len(child.branches) < 2:
-                raise ParseError("a choice block needs at least 2 branches")
-            for branch in child.branches:
-                _validate_tnet(branch)
-        elif isinstance(child, LoopBlock):
-            _validate_pnet(child.forward)
-            _validate_tnet(child.back)
-
-
-def _validate_pnet(seq: SeqBlock) -> None:
-    _validate_seq(seq, place_bordered=True)
-
-
-def _validate_tnet(seq: SeqBlock) -> None:
-    _validate_seq(seq, place_bordered=False)
-
-
-def iter_labels(seq: SeqBlock):
-    """Yield every place and transition label in textual order."""
-    for child in seq.children:
         if isinstance(child, (Place, Transition)):
-            yield child.label
-        elif isinstance(child, (AndBlock, XorBlock)):
-            for branch in child.branches:
-                yield from iter_labels(branch)
+            continue
+        left, right = children[i - 1], children[i + 1]
+        if isinstance(child, XorBlock):
+            if not (isinstance(left, Place) and isinstance(right, Place)):
+                raise ParseError("a choice block must sit between two places")
+        elif not (isinstance(left, Transition) and isinstance(right, Transition)):
+            raise ParseError("a parallel or loop block must sit between two transitions")
+        if isinstance(child, LoopBlock):
+            borders: tuple[type, ...] = (Place, Transition)
         else:
-            yield from iter_labels(child.forward)
-            yield from iter_labels(child.back)
+            if len(child.branches) < 2:
+                kind = "parallel" if isinstance(child, AndBlock) else "choice"
+                raise ParseError(f"a {kind} block needs at least 2 branches")
+            border = Place if isinstance(child, AndBlock) else Transition
+            borders = (border,) * len(child.branches)
+        for branch, border in zip(branches_of(child), borders):
+            _check_border(branch, border)
 
 
-def place_labels(seq: SeqBlock) -> frozenset[str]:
-    place_acc: set[str] = set()
-    _collect_labels(seq, place_acc, None)
-    return frozenset(place_acc)
+def _leaves(tree: BlockTree) -> Iterator[Place | Transition]:
+    """Every place and transition, sequence by sequence in :func:`walk` order."""
+    for _, seq in walk(tree):
+        for child in seq.children:
+            if isinstance(child, (Place, Transition)):
+                yield child
 
 
-def transition_labels(seq: SeqBlock) -> frozenset[str]:
-    trans_acc: set[str] = set()
-    _collect_labels(seq, None, trans_acc)
-    return frozenset(trans_acc)
+def iter_labels(tree: BlockTree) -> Iterator[str]:
+    """Yield every place and transition label, in :func:`walk` order."""
+    return (leaf.label for leaf in _leaves(tree))
 
 
-def _collect_labels(seq: SeqBlock, place_acc: set[str] | None, trans_acc: set[str] | None) -> None:
-    for child in seq.children:
-        if isinstance(child, Place):
-            if place_acc is not None:
-                place_acc.add(child.label)
-        elif isinstance(child, Transition):
-            if trans_acc is not None:
-                trans_acc.add(child.label)
-        elif isinstance(child, (AndBlock, XorBlock)):
-            for branch in child.branches:
-                _collect_labels(branch, place_acc, trans_acc)
-        else:
-            _collect_labels(child.forward, place_acc, trans_acc)
-            _collect_labels(child.back, place_acc, trans_acc)
+def place_labels(tree: BlockTree) -> frozenset[str]:
+    return frozenset(leaf.label for leaf in _leaves(tree) if isinstance(leaf, Place))
+
+
+def transition_labels(tree: BlockTree) -> frozenset[str]:
+    return frozenset(
+        leaf.label for leaf in _leaves(tree) if isinstance(leaf, Transition)
+    )
 
 
 # ── canonical text ──────────────────────────────────────────────────────────
+
+_GROUP = {AndBlock: "()", XorBlock: "[]", LoopBlock: "{}"}
 
 
 def format_tree(tree: BlockTree) -> str:
@@ -422,19 +488,12 @@ def _emit(seq: SeqBlock, parts: list[str]) -> None:
     for child in seq.children:
         if isinstance(child, (Place, Transition)):
             parts.append(child.label)
-        elif isinstance(child, (AndBlock, XorBlock)):
-            opener, closer = ("(", ")") if isinstance(child, AndBlock) else ("[", "]")
-            for branch in child.branches:
-                parts.append(opener)
-                _emit(branch, parts)
-                parts.append(closer)
-        else:
-            parts.append("{")
-            _emit(child.forward, parts)
-            parts.append("}")
-            parts.append("{")
-            _emit(child.back, parts)
-            parts.append("}")
+            continue
+        opener, closer = _GROUP[type(child)]
+        for branch in branches_of(child):
+            parts.append(opener)
+            _emit(branch, parts)
+            parts.append(closer)
 
 
 # ── net construction ────────────────────────────────────────────────────────
@@ -454,52 +513,30 @@ def build_net(tree: BlockTree) -> WfNet:
     transitions: set[str] = set()
     arcs: set[tuple[str, str]] = set()
 
-    def register(seq: SeqBlock) -> None:
-        for child in seq.children:
-            if isinstance(child, Place):
-                places.add(child.label)
-            elif isinstance(child, Transition):
-                transitions.add(child.label)
-            elif isinstance(child, (AndBlock, XorBlock)):
-                for branch in child.branches:
-                    register(branch)
-            else:
-                register(child.forward)
-                register(child.back)
-
     def entries(el: Element) -> list[str]:
         if isinstance(el, (Place, Transition)):
             return [el.label]
-        if isinstance(el, AndBlock):
-            return [_first_label(b) for b in el.branches]
-        if isinstance(el, XorBlock):
-            return [_first_label(b) for b in el.branches]
-        return [_first_label(el.forward)]
+        return [_first_label(seq) for seq in _gates(el)]
 
     def exits(el: Element) -> list[str]:
         if isinstance(el, (Place, Transition)):
             return [el.label]
-        if isinstance(el, (AndBlock, XorBlock)):
-            return [_last_label(b) for b in el.branches]
-        return [_last_label(el.forward)]
+        return [_last_label(seq) for seq in _gates(el)]
 
-    def wire(seq: SeqBlock) -> None:
+    for _, seq in walk(tree):
         for left, right in zip(seq.children, seq.children[1:]):
             for src in exits(left):
                 for dst in entries(right):
                     arcs.add((src, dst))
         for child in seq.children:
-            if isinstance(child, (AndBlock, XorBlock)):
-                for branch in child.branches:
-                    wire(branch)
+            if isinstance(child, Place):
+                places.add(child.label)
+            elif isinstance(child, Transition):
+                transitions.add(child.label)
             elif isinstance(child, LoopBlock):
-                wire(child.forward)
-                wire(child.back)
                 arcs.add((_last_label(child.forward), _first_label(child.back)))
                 arcs.add((_last_label(child.back), _first_label(child.forward)))
 
-    register(tree)
-    wire(tree)
     init = _first_label(tree)
     end = _last_label(tree)
     net = WfNet(
@@ -511,6 +548,11 @@ def build_net(tree: BlockTree) -> WfNet:
     )
     _check_structure(net)
     return net
+
+
+def _gates(block: Element) -> tuple[SeqBlock, ...]:
+    """The sequences through which control enters and leaves a block."""
+    return (block.forward,) if isinstance(block, LoopBlock) else branches_of(block)
 
 
 def _first_label(seq: SeqBlock) -> str:

@@ -14,7 +14,7 @@ failing pair before it is reported.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .ctree import build_ctree
 from .ecws import (
@@ -27,15 +27,16 @@ from .ecws import (
     SeqBlock,
     Transition,
     XorBlock,
+    branches_of,
     build_net,
+    edit_seq,
     iter_labels,
     place_labels,
     validate_tree,
+    walk,
 )
 from .regions import analyze
 from .wfnet import DEFAULT_STATE_CAP, oracle_classify
-
-_SeqPath = tuple[tuple[int, int], ...]
 
 
 # ── random tree generation ──────────────────────────────────────────────────
@@ -124,61 +125,19 @@ def random_tree(
 # ── tree surgery helpers ────────────────────────────────────────────────────
 
 
-def _walk_seqs(tree: BlockTree) -> Iterator[tuple[_SeqPath, SeqBlock]]:
-    def walk(seq: SeqBlock, path: _SeqPath) -> Iterator[tuple[_SeqPath, SeqBlock]]:
-        yield path, seq
-        for i, child in enumerate(seq.children):
-            if isinstance(child, (AndBlock, XorBlock)):
-                for b, branch in enumerate(child.branches):
-                    yield from walk(branch, (*path, (i, b)))
-            elif isinstance(child, LoopBlock):
-                yield from walk(child.forward, (*path, (i, 0)))
-                yield from walk(child.back, (*path, (i, 1)))
-
-    return walk(tree, ())
-
-
-def _edit_seq(
-    tree: BlockTree, path: _SeqPath, fn: Callable[[tuple[Element, ...]], tuple[Element, ...]]
-) -> BlockTree:
-    """Rebuild the tree with ``fn`` applied to the children of one sequence."""
-    if not path:
-        return SeqBlock(fn(tree.children))
-    (i, b), rest = path[0], path[1:]
-    child = tree.children[i]
-    if isinstance(child, (AndBlock, XorBlock)):
-        branches = tuple(
-            _edit_seq(branch, rest, fn) if k == b else branch
-            for k, branch in enumerate(child.branches)
-        )
-        new_child: Element = type(child)(branches)
-    else:
-        assert isinstance(child, LoopBlock)
-        if b == 0:
-            new_child = LoopBlock(_edit_seq(child.forward, rest, fn), child.back)
-        else:
-            new_child = LoopBlock(child.forward, _edit_seq(child.back, rest, fn))
-    children = tuple(
-        new_child if k == i else el for k, el in enumerate(tree.children)
-    )
-    return SeqBlock(children)
-
-
 def _relabel(tree: BlockTree, mapping: dict[str, str]) -> BlockTree:
-    def rewrite(seq: SeqBlock) -> SeqBlock:
-        out: list[Element] = []
-        for child in seq.children:
-            if isinstance(child, Place):
-                out.append(Place(mapping.get(child.label, child.label)))
-            elif isinstance(child, Transition):
-                out.append(Transition(mapping.get(child.label, child.label)))
-            elif isinstance(child, (AndBlock, XorBlock)):
-                out.append(type(child)(tuple(rewrite(b) for b in child.branches)))
-            else:
-                out.append(LoopBlock(rewrite(child.forward), rewrite(child.back)))
-        return SeqBlock(tuple(out))
+    def rename(el: Element) -> Element:
+        if isinstance(el, (Place, Transition)) and el.label in mapping:
+            return type(el)(mapping[el.label])
+        return el
 
-    return rewrite(tree)
+    def rewrite(children: tuple[Element, ...]) -> tuple[Element, ...]:
+        return tuple(rename(el) for el in children)
+
+    for path, seq in list(walk(tree)):
+        if any(rename(el) is not el for el in seq.children):
+            tree = edit_seq(tree, path, rewrite)
+    return tree
 
 
 def _fresh(used: set[str], prefix: str) -> str:
@@ -204,7 +163,7 @@ def _valid_or_none(tree: BlockTree) -> BlockTree | None:
 def mutate_insert_place(tree: BlockTree, rng: random.Random) -> BlockTree | None:
     spots = [
         (path, i)
-        for path, seq in _walk_seqs(tree)
+        for path, seq in walk(tree)
         for i, child in enumerate(seq.children)
         if isinstance(child, Place)
     ]
@@ -217,12 +176,12 @@ def mutate_insert_place(tree: BlockTree, rng: random.Random) -> BlockTree | None
     def splice(children: tuple[Element, ...]) -> tuple[Element, ...]:
         return (*children[: i + 1], Transition(t_new), Place(p_new), *children[i + 1 :])
 
-    return _edit_seq(tree, path, splice)
+    return edit_seq(tree, path, splice)
 
 
 def mutate_remove_place(tree: BlockTree, rng: random.Random) -> BlockTree | None:
     candidates = []
-    for path, seq in _walk_seqs(tree):
+    for path, seq in walk(tree):
         for i, child in enumerate(seq.children):
             if not isinstance(child, Place):
                 continue
@@ -236,7 +195,7 @@ def mutate_remove_place(tree: BlockTree, rng: random.Random) -> BlockTree | None
         def cut(children: tuple[Element, ...], lo: int = lo, hi: int = hi):
             return (*children[:lo], *children[hi + 1 :])
 
-        out = _valid_or_none(_edit_seq(tree, path, cut))
+        out = _valid_or_none(edit_seq(tree, path, cut))
         if out is not None:
             return out
     return None
@@ -253,7 +212,7 @@ def mutate_transpose_places(tree: BlockTree, rng: random.Random) -> BlockTree | 
 def mutate_branch_tail_swap(tree: BlockTree, rng: random.Random) -> BlockTree | None:
     blocks = [
         child
-        for _, seq in _walk_seqs(tree)
+        for _, seq in walk(tree)
         for child in seq.children
         if isinstance(child, AndBlock)
     ]
@@ -279,16 +238,16 @@ def mutate_block_change(tree: BlockTree, rng: random.Random) -> BlockTree | None
     """Convert one block to a different kind, or flatten it away."""
     spots = [
         (path, i, child)
-        for path, seq in _walk_seqs(tree)
+        for path, seq in walk(tree)
         for i, child in enumerate(seq.children)
-        if isinstance(child, (AndBlock, XorBlock, LoopBlock))
+        if branches_of(child)
     ]
     rng.shuffle(spots)
     for path, i, block in spots:
         edits = _block_edits(tree, i, block, rng)
         rng.shuffle(edits)
         for edit in edits:
-            out = _valid_or_none(_edit_seq(tree, path, edit))
+            out = _valid_or_none(edit_seq(tree, path, edit))
             if out is not None:
                 return out
     return None
@@ -466,7 +425,7 @@ def check_pair_agreement(
 
 
 def _try_remove_place(tree: BlockTree, label: str) -> BlockTree | None:
-    for path, seq in _walk_seqs(tree):
+    for path, seq in walk(tree):
         for i, child in enumerate(seq.children):
             if not (isinstance(child, Place) and child.label == label):
                 continue
@@ -480,7 +439,7 @@ def _try_remove_place(tree: BlockTree, label: str) -> BlockTree | None:
                 def cut(children: tuple[Element, ...], lo: int = lo, hi: int = hi):
                     return (*children[:lo], *children[hi + 1 :])
 
-                out = _valid_or_none(_edit_seq(tree, path, cut))
+                out = _valid_or_none(edit_seq(tree, path, cut))
                 if out is not None:
                     return out
             return None

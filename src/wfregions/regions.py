@@ -14,10 +14,12 @@ false calls in either direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .ctree import (
     CTree,
     EmbeddingMemo,
+    build_ctree,
     delete_places,
     gcs,
     is_breakoff,
@@ -26,8 +28,6 @@ from .ctree import (
 )
 from .ecws import BlockTree
 from .wfnet import Marking, MemberClass
-
-from enum import Enum
 
 
 class Decision(Enum):
@@ -151,8 +151,6 @@ def pscr_exists(
 
 def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
     """Full structural analysis of an old/new net pair."""
-    from .ctree import build_ctree
-
     c, c2 = build_ctree(old), build_ctree(new)
     cs = change_sets(c, c2)
     over, perf = member_sets(cs)

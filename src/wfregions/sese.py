@@ -20,22 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ecws import (
-    AndBlock,
     BlockTree,
     Element,
-    LoopBlock,
     Place,
     SeqBlock,
+    SeqPath,
     Transition,
-    XorBlock,
+    branches_of,
     place_labels,
+    seq_at,
+    walk,
 )
 from .wfnet import WfNet
-
-#: Address of a sequence inside the tree: (element index, branch index)
-#: steps, where the branch index is the AND/XOR branch position, 0 for a
-#: loop's forward part, and 1 for its back part.
-_SeqPath = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -53,21 +49,23 @@ def static_region(old: WfNet, new: WfNet) -> frozenset[str]:
     return frozenset(touched & old_nodes)
 
 
-def dynamic_region(old_tree: BlockTree, static_nodes: frozenset[str]) -> frozenset[str]:
+def dynamic_region(
+    old_tree: BlockTree, old: WfNet, static_nodes: frozenset[str]
+) -> frozenset[str]:
     """Places of the minimal place-bordered fragments covering the changes.
 
     Static nodes are grouped into connected components (adjacency = sharing
-    an arc in the old net, rebuilt here from the tree); each component is
-    expanded to its fragment and the fragment place sets are unioned.
+    an arc of ``old``, the net of ``old_tree``); each component is expanded
+    to its fragment and the fragment place sets are unioned.
     """
     if not static_nodes:
         return frozenset()
     index = _index_tree(old_tree)
-    adjacency = _static_adjacency(old_tree, static_nodes)
+    adjacency = _static_adjacency(old, static_nodes)
     out: set[str] = set()
     for component in _components(adjacency):
         seq_path, lo, hi = _expand(old_tree, index, component)
-        seq = _seq_at(old_tree, seq_path)
+        seq = seq_at(old_tree, seq_path)
         out |= place_labels(SeqBlock(tuple(seq.children[lo : hi + 1])))
     return frozenset(out)
 
@@ -89,15 +87,9 @@ def improved_region(old_tree: BlockTree, dynamic_places: frozenset[str]) -> froz
             return True
         return _block_places(el) <= dynamic_places
 
-    def descend(el: Element) -> None:
-        if isinstance(el, (AndBlock, XorBlock)):
-            for branch in el.branches:
-                scan(branch)
-        elif isinstance(el, LoopBlock):
-            scan(el.forward)
-            scan(el.back)
-
-    def scan(seq: SeqBlock) -> None:
+    todo: list[SeqBlock] = [old_tree]  # sequences still to scan
+    while todo:
+        seq = todo.pop()
         runs: list[tuple[int, int]] = []
         start: int | None = None
         for i, child in enumerate(seq.children):
@@ -108,27 +100,25 @@ def improved_region(old_tree: BlockTree, dynamic_places: frozenset[str]) -> froz
                 if start is not None:
                     runs.append((start, i - 1))
                     start = None
-                descend(child)
+                todo.extend(branches_of(child))
         if start is not None:
             runs.append((start, len(seq.children) - 1))
         for lo, hi in runs:
             while lo <= hi and not isinstance(seq.children[lo], Place):
-                descend(seq.children[lo])
+                todo.extend(branches_of(seq.children[lo]))
                 lo += 1
             while hi >= lo and not isinstance(seq.children[hi], Place):
-                descend(seq.children[hi])
+                todo.extend(branches_of(seq.children[hi]))
                 hi -= 1
             if lo <= hi:
                 removed.add(seq.children[lo].label)  # type: ignore[union-attr]
                 removed.add(seq.children[hi].label)  # type: ignore[union-attr]
-
-    scan(old_tree)
     return dynamic_places - removed
 
 
 def sese_region(old_tree: BlockTree, old: WfNet, new: WfNet) -> SeseRegion:
     static = static_region(old, new)
-    dynamic = dynamic_region(old_tree, static)
+    dynamic = dynamic_region(old_tree, old, static)
     improved = improved_region(old_tree, dynamic)
     return SeseRegion(static, dynamic, improved)
 
@@ -145,54 +135,22 @@ def region_json(region: SeseRegion) -> dict:
 
 
 def _block_places(el: Element) -> frozenset[str]:
-    if isinstance(el, (AndBlock, XorBlock)):
-        out: frozenset[str] = frozenset()
-        for branch in el.branches:
-            out |= place_labels(branch)
-        return out
-    assert isinstance(el, LoopBlock)
-    return place_labels(el.forward) | place_labels(el.back)
+    return frozenset().union(*map(place_labels, branches_of(el)))
 
 
-def _index_tree(tree: BlockTree) -> dict[str, tuple[_SeqPath, int]]:
+def _index_tree(tree: BlockTree) -> dict[str, tuple[SeqPath, int]]:
     """Label → (address of its sequence, its element index there)."""
-    index: dict[str, tuple[_SeqPath, int]] = {}
-
-    def walk(seq: SeqBlock, path: _SeqPath) -> None:
-        for i, child in enumerate(seq.children):
-            if isinstance(child, (Place, Transition)):
-                index[child.label] = (path, i)
-            elif isinstance(child, (AndBlock, XorBlock)):
-                for b, branch in enumerate(child.branches):
-                    walk(branch, (*path, (i, b)))
-            else:
-                walk(child.forward, (*path, (i, 0)))
-                walk(child.back, (*path, (i, 1)))
-
-    walk(tree, ())
-    return index
+    return {
+        child.label: (path, i)
+        for path, seq in walk(tree)
+        for i, child in enumerate(seq.children)
+        if isinstance(child, (Place, Transition))
+    }
 
 
-def _seq_at(tree: BlockTree, path: _SeqPath) -> SeqBlock:
-    seq = tree
-    for elem_idx, branch_idx in path:
-        child = seq.children[elem_idx]
-        if isinstance(child, (AndBlock, XorBlock)):
-            seq = child.branches[branch_idx]
-        else:
-            assert isinstance(child, LoopBlock)
-            seq = child.forward if branch_idx == 0 else child.back
-    return seq
-
-
-def _static_adjacency(
-    tree: BlockTree, static_nodes: frozenset[str]
-) -> dict[str, set[str]]:
-    from .ecws import build_net
-
-    net = build_net(tree)
+def _static_adjacency(old: WfNet, static_nodes: frozenset[str]) -> dict[str, set[str]]:
     adjacency: dict[str, set[str]] = {n: set() for n in static_nodes}
-    for a, b in net.arcs:
+    for a, b in old.arcs:
         if a in static_nodes and b in static_nodes:
             adjacency[a].add(b)
             adjacency[b].add(a)
@@ -218,8 +176,8 @@ def _components(adjacency: dict[str, set[str]]) -> list[set[str]]:
 
 
 def _expand(
-    tree: BlockTree, index: dict[str, tuple[_SeqPath, int]], component: set[str]
-) -> tuple[_SeqPath, int, int]:
+    tree: BlockTree, index: dict[str, tuple[SeqPath, int]], component: set[str]
+) -> tuple[SeqPath, int, int]:
     """Smallest place-bordered stretch of one sequence covering the group."""
     paths = [index[label] for label in component]
     common = paths[0][0]
@@ -235,7 +193,7 @@ def _expand(
         for seq_path, elem_idx in paths
     }
     while True:
-        seq = _seq_at(tree, common)
+        seq = seq_at(tree, common)
         lo, hi = min(idxs), max(idxs)
         while lo >= 0 and not isinstance(seq.children[lo], Place):
             lo -= 1

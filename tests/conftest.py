@@ -19,6 +19,14 @@ def load_fixture(name: str) -> BlockTree:
     return parse((FIXTURES / f"{name}.ecws").read_text())
 
 
+def nested_and(depth: int) -> str:
+    """ECWS text with ``depth`` parallel blocks nested in one another."""
+    text = "z"
+    for k in reversed(range(depth)):
+        text = f"a{k} b{k} ({text})(c{k}) e{k} f{k}"
+    return text
+
+
 def fixture_pair(old: str, new: str) -> tuple[BlockTree, BlockTree]:
     return load_fixture(old), load_fixture(new)
 

@@ -10,7 +10,7 @@ import pytest
 import wfregions.cli as cli
 from wfregions.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, nested_and
 
 
 def fx(name: str) -> str:
@@ -115,6 +115,17 @@ def test_analyze_parse_error_names_file(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(bad), fx("nested"))
     assert code == 2
     assert "bad.ecws" in err and "unexpected 't1'" in err
+
+
+@pytest.mark.parametrize("depth, code", [(64, 0), (65, 2)])
+def test_analyze_nesting_bound(capsys, tmp_path, depth, code):
+    path = tmp_path / "deep.ecws"
+    path.write_text(nested_and(depth))
+    got, _, err = run(capsys, "analyze", str(path), str(path))
+    assert got == code
+    assert "Traceback" not in err
+    if code:
+        assert "nesting" in err
 
 
 # ── oracle ───────────────────────────────────────────────────────────────────
@@ -273,3 +284,17 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", fx("parallel_old"), fx("branchswap_new"), "--json"],
+        ["export", fx("parallel_old"), "--seed", "1"],
+    ],
+)
+def test_flags_of_other_subcommands_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -26,9 +26,16 @@ from wfregions import (
     transition_labels,
     validate_tree,
 )
-from wfregions.ecws import tokenize
+from wfregions.ecws import (
+    MAX_NESTING,
+    edit_seq,
+    iter_labels,
+    seq_at,
+    tokenize,
+    walk,
+)
 
-from conftest import load_fixture
+from conftest import load_fixture, nested_and
 
 # The six showcase strings: a plain sequence, a fork-join in a sequence, a
 # one-shot choice, a nested fork-join, a loop, and a loop with a choice in
@@ -158,6 +165,24 @@ def test_parse_error_carries_position():
     assert (err.value.line, err.value.col) == (1, 3)
 
 
+def test_nesting_bound():
+    assert MAX_NESTING == 64
+    assert len(place_labels(parse(nested_and(MAX_NESTING)))) == 3 * MAX_NESTING + 1
+    text = nested_and(MAX_NESTING + 1)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "nesting" in str(err.value)
+    # reported at the bracket that opens the level past the bound
+    opener = text.index("(z)")
+    assert (err.value.line, err.value.col) == (1, opener + 1)
+
+
+def test_nesting_bound_counts_every_bracket_kind():
+    assert parse(format_tree(_deep_tree(MAX_NESTING))) == _deep_tree(MAX_NESTING)
+    with pytest.raises(ParseError, match="nesting"):
+        parse(format_tree(_deep_tree(MAX_NESTING + 1)))
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(DuplicateLabelError):
         parse("p1t1p1")
@@ -229,6 +254,80 @@ def test_label_sets():
     tree = parse("p1t1{p2t2p3}{t3}t4p4")
     assert place_labels(tree) == {"p1", "p2", "p3", "p4"}
     assert transition_labels(tree) == {"t1", "t2", "t3", "t4"}
+
+
+# ── sequence walk ────────────────────────────────────────────────────────────
+
+
+def _reference_walk(seq, path=()):
+    """The order mutation sites have always been drawn in, written out."""
+    yield path, seq
+    for i, child in enumerate(seq.children):
+        if isinstance(child, (AndBlock, XorBlock)):
+            for b, branch in enumerate(child.branches):
+                yield from _reference_walk(branch, (*path, (i, b)))
+        elif isinstance(child, LoopBlock):
+            yield from _reference_walk(child.forward, (*path, (i, 0)))
+            yield from _reference_walk(child.back, (*path, (i, 1)))
+
+
+def _deep_tree(depth):
+    """Blocks nested ``depth`` deep, cycling through parallel, choice and loop."""
+    seq = SeqBlock((Place("z"),))
+    for k in reversed(range(depth)):
+        b, c, e = Transition(f"b{k}"), Transition(f"c{k}"), Transition(f"e{k}")
+        if k % 3 == 0:
+            mid = (b, AndBlock((seq, SeqBlock((Place(f"d{k}"),)))), e)
+        elif k % 3 == 1:
+            mid = (XorBlock((SeqBlock((b, *seq.children, e)), SeqBlock((c,)))),)
+        else:
+            mid = (b, LoopBlock(seq, SeqBlock((c,))), e)
+        seq = SeqBlock((Place(f"a{k}"), *mid, Place(f"f{k}")))
+    return seq
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_walk_yields_every_sequence_once_in_preorder(seed):
+    tree = random_tree(random.Random(seed), 8, 80)
+    walked = list(walk(tree))
+    reference = list(_reference_walk(tree))
+    assert [path for path, _ in walked] == [path for path, _ in reference]
+    assert [id(seq) for _, seq in walked] == [id(seq) for _, seq in reference]
+    assert len({id(seq) for _, seq in walked}) == len(walked)
+    for path, seq in walked:
+        assert seq_at(tree, path) is seq
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_edit_seq_rebuilds_only_the_path(seed):
+    tree = random_tree(random.Random(seed), 8, 80)
+    for path, _ in walk(tree):
+        edited = edit_seq(tree, path, lambda children: children)
+        assert edited == tree
+        for other, seq in walk(edited):
+            on_path = other == path[: len(other)]
+            assert (seq is seq_at(tree, other)) != on_path
+
+
+def test_edit_seq_applies_the_edit():
+    tree = parse("p1t1(p2t2p3)(p4)t3{p5}{t4}t5p6")
+    edited = edit_seq(tree, ((2, 1),), lambda c: (*c, Transition("u"), Place("q")))
+    assert format_tree(edited) == "p1t1(p2t2p3)(p4u,q)t3{p5}{t4}t5p6"
+    edited = edit_seq(tree, ((4, 1),), lambda c: (*c, Place("q"), Transition("u")))
+    assert format_tree(edited) == "p1t1(p2t2p3)(p4)t3{p5}{t4q,u}t5p6"
+
+
+def test_deep_tree_needs_no_recursion():
+    depth = 500
+    tree = _deep_tree(depth)
+    assert sum(1 for _ in walk(tree)) == 2 * depth + 1
+    places = place_labels(tree)
+    assert len(places) == 1 + 2 * depth + len(range(0, depth, 3))
+    assert len(list(iter_labels(tree))) == len(places) + len(transition_labels(tree))
+    validate_tree(tree)
+    net = build_net(tree)
+    assert net.places == places
+    assert (net.init, net.end) == ("a0", "f0")
 
 
 # ── net construction ─────────────────────────────────────────────────────────

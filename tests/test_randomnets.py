@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+
+import pytest
 
 from wfregions import (
     Decision,
@@ -10,6 +13,7 @@ from wfregions import (
     build_net,
     check_pair_agreement,
     decide_marking,
+    format_tree,
     marking_text,
     mutate,
     oracle_classify,
@@ -165,3 +169,42 @@ def test_transposition_mutation_exists_but_is_not_in_default_family():
     if out is not None:
         validate_tree(out)
         assert place_labels(out) == place_labels(tree)
+
+
+# Mutation sites are drawn with rng.choice over the sequences in walk order,
+# so these outputs pin that order, and with it every input built by mutate.
+PINNED_MUTATIONS = [
+    (mutate_insert_place, 0,
+     "p1t1(p2t2p3t3p4t4p5t5(p6)(p7t6p8)t7p9)(p10)t8p11t9p12v1q1"),
+    (mutate_insert_place, 2,
+     "p1[t1p2t2][t3][t4p3t5]p4t6(p5t7p6)(p7)t8p8v1q1t9p9[t10p10t11p11t12][t13]p12"),
+    (mutate_remove_place, 0,
+     "p1t1(p2t2p3t3p4t5(p6)(p7t6p8)t7p9)(p10)t8p11t9p12"),
+    (mutate_remove_place, 2,
+     "p1[t1p2t2][t3][t4p3t5]p4t6(p5t7p6)(p7)t8p9[t10p10t11p11t12][t13]p12"),
+    (mutate_branch_tail_swap, 0,
+     "p1t1(p2t2p3t3p4t4p5t5(p6)(p7t6p8)t7p10)(p9)t8p11t9p12"),
+    (mutate_branch_tail_swap, 2,
+     "p1[t1p2t2][t3][t4p3t5]p4t6(p5t7p7)(p6)t8p8t9p9[t10p10t11p11t12][t13]p12"),
+    (mutate_block_change, 0,
+     "p1t1(p2t2p3t3p4t4p5t5p7t6p8t7p9)(p10)t8p11t9p12"),
+    (mutate_block_change, 2,
+     "p1[t1p2t2][t3][t4p3t5]p4t6(p5t7p6)(p7)t8p8t9p9t10{p10t11p11}{t13}t12p12"),
+]
+
+
+@pytest.mark.parametrize("mutation, seed, expected", PINNED_MUTATIONS)
+def test_mutation_sites_follow_walk_order(mutation, seed, expected):
+    tree = random_tree(random.Random(seed), 4, 12)
+    assert format_tree(mutation(tree, random.Random(100 + seed))) == expected
+
+
+def test_mutate_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(300):
+        rng = random.Random(seed)
+        tree = random_tree(rng, 6, 30)
+        digest.update((format_tree(mutate(tree, rng)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "01f12c81430275ab278cb9278988cb308d01c967eca963c5bc18609ee482f37b"
+    )

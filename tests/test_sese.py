@@ -70,7 +70,7 @@ def test_pipeline_steps_compose():
     old, new = fixture_pair("xorloop_old", "xorloop_new")
     old_net, new_net = build_net(old), build_net(new)
     static = static_region(old_net, new_net)
-    dynamic = dynamic_region(old, static)
+    dynamic = dynamic_region(old, old_net, static)
     assert improved_region(old, dynamic) <= dynamic
     reg = sese_region(old, old_net, new_net)
     assert (reg.static_nodes, reg.dynamic_places, reg.improved_places) == (
