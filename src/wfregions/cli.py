@@ -8,14 +8,15 @@ marking-generation-set renderings), and a reproducible ``fuzz`` loop for
 random agreement testing.
 
 Exit codes: 0 success, 2 parse/usage error, 3 malformed, unreachable or
-unknown-place marking, 4 state-space cap exceeded, 1 internal error.  JSON
-output is byte-stable: keys and label arrays are sorted.
+unknown-place marking, 4 state-space cap exceeded, 141 closed output pipe,
+1 internal error.  JSON output is byte-stable: keys and arrays are sorted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import traceback
@@ -316,7 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early (``| head``) shows here, not at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as for a filter stopped by the closed pipe
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,21 +9,23 @@ branch.  Sequences, choices, and loops never deepen the tree; only parallel
 blocks do.
 
 On top of the tree this module provides: the set of places concurrent with a
-given place (:func:`gcs`), exhaustive and sampled marking generation, the
-membership test for one marking (:func:`generates`), deletion of places, the
-dysfunctionality test (can the tree still generate a marking?), break-off
-sets (place sets hitting every marking), and the marking-preserving
-embedding check (:func:`mpe_exists`) that decides whether every marking one
-tree generates is also generable by another.
+given place (:func:`gcs`), exhaustive and sampled marking generation,
+deletion of places, the dysfunctionality test (can the tree still generate a
+marking?), break-off sets (place sets hitting every marking), and one exact
+inclusion test (:func:`mpe_exists`) that decides whether every marking one
+tree generates is also generable by another.  Membership of one marking
+(:func:`generates`) is that test on the marking's own tree.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ecws import AndBlock, BlockTree, Place, SeqBlock, Transition, branches_of
+from .ecws import AndBlock, BlockTree, Element, Place, Transition, branches_of
 from .errors import UnknownPlaceError
 from .wfnet import Marking
 
@@ -32,23 +34,44 @@ from .wfnet import Marking
 
 @dataclass(frozen=True)
 class CNode:
-    """Mutually exclusive alternatives: place labels and parallel blocks."""
+    """Mutually exclusive alternatives: place labels and parallel blocks.
+
+    The facts after ``elements`` are set from the children's on construction.
+    """
 
     elements: tuple["str | CBlock", ...]
+    own_places: frozenset[str] = field(init=False, repr=False, compare=False)
+    live_blocks: tuple["CBlock", ...] = field(init=False, repr=False, compare=False)
+    generable: bool = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def own_places(self) -> frozenset[str]:
-        """Places held directly by this node (not inside block elements)."""
-        return frozenset(el for el in self.elements if isinstance(el, str))
+    def __post_init__(self) -> None:
+        facts, elements = self.__dict__, self.elements
+        own = [el for el in elements if el.__class__ is str]
+        facts["own_places"] = frozenset(own)
+        if len(own) == len(elements):
+            facts["live_blocks"], facts["generable"] = (), bool(own)
+        else:
+            live = tuple([el for el in elements if el.__class__ is not str and el.generable])
+            facts["live_blocks"], facts["generable"] = live, bool(own or live)
 
     @cached_property
     def blocks(self) -> tuple["CBlock", ...]:
         return tuple(el for el in self.elements if isinstance(el, CBlock))
 
     @cached_property
-    def generable(self) -> bool:
-        """Can this node generate at least one marking?"""
-        return any(isinstance(el, str) or el.generable for el in self.elements)
+    def place_set(self) -> frozenset[str]:
+        """Every place that some marking of this node holds, in one walk that
+        reuses the sets already known below."""
+        out: set[str] = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if "place_set" in node.__dict__:
+                out |= node.place_set
+            else:
+                out |= node.own_places
+                stack += [branch for b in node.live_blocks for branch in b.branches]
+        return frozenset(out)
 
     @cached_property
     def place_index(self) -> dict[str, "Route"]:
@@ -77,10 +100,24 @@ class CBlock:
 
     branches: tuple[CNode, ...]
 
-    @cached_property
+    @property
     def generable(self) -> bool:
-        """Can every branch generate a marking (so the block realizes one)?"""
+        """Does every branch generate a marking (so the block realizes one)?"""
         return all(b.generable for b in self.branches)
+
+    @cached_property
+    def factors(self) -> tuple[CNode, ...]:
+        """The block as a flat product: a branch holding nothing but one live
+        block stands for that block's factors."""
+        out: list[CNode] = []
+        stack = list(reversed(self.branches))
+        while stack:
+            node = stack.pop()
+            if not node.own_places and len(node.live_blocks) == 1:
+                stack.extend(reversed(node.live_blocks[0].branches))
+            elif node.place_set:  # a node without places holds only the empty marking
+                out.append(node)
+        return tuple(out)
 
 
 CTree = CNode
@@ -98,22 +135,31 @@ def build_ctree(tree: BlockTree) -> CTree:
 
     Places of sequences, choice branches, and both loop parts all land in the
     same node; each parallel block becomes a CBlock element with one branch
-    node per parallel branch.
+    node per parallel branch.  One pass over an explicit stack builds every
+    node after its children, so no nesting depth exhausts the call stack.
     """
-
-    def collect(seq: SeqBlock):
-        for child in seq.children:
+    root: list[str | CBlock] = []
+    # a sequence's unread children, or a parallel block's branch element
+    # lists once all are read; each with the list that receives its yield
+    stack: list[tuple[Iterator[Element] | list, list]] = [(iter(tree.children), root)]
+    while stack:
+        todo, out = stack.pop()
+        if isinstance(todo, list):
+            out.append(CBlock(tuple(CNode(tuple(branch)) for branch in todo)))
+            continue
+        for child in todo:
             if isinstance(child, Place):
-                yield child.label
-            elif isinstance(child, Transition):
-                continue
-            elif isinstance(child, AndBlock):
-                yield CBlock(tuple(CNode(tuple(collect(b))) for b in child.branches))
-            else:
-                for branch in branches_of(child):
-                    yield from collect(branch)
-
-    return CNode(tuple(collect(tree)))
+                out.append(child.label)
+            elif not isinstance(child, Transition):
+                stack.append((todo, out))  # resume the sequence after the block
+                if isinstance(child, AndBlock):
+                    outs: list[list] = [[] for _ in child.branches]
+                    stack.append((outs, out))
+                    stack += [(iter(b.children), o) for b, o in zip(child.branches, outs)][::-1]
+                else:
+                    stack += [(iter(b.children), out) for b in reversed(branches_of(child))]
+                break
+    return CNode(tuple(root))
 
 
 def places(c: CTree) -> frozenset[str]:
@@ -203,33 +249,9 @@ def sample_marking(c: CTree, rng: random.Random | None = None) -> Marking:
 
 
 def generates(c: CTree, m: Marking) -> bool:
-    """Is ``m`` one of the markings the tree generates?
-
-    One walk over the tree, for trees whose labels are unique.  Every node
-    that holds a place of ``m`` below it must pick exactly one element: a
-    place of ``m``, or the one block holding the rest, whose branches must
-    then each generate their share.
-    """
-    found = 0
-
-    def share(node: CNode) -> bool | None:
-        """None if no place of m lies below; else whether they form a marking."""
-        nonlocal found
-        hits: list[bool] = []
-        for el in node.elements:
-            if isinstance(el, str):
-                if el in m:
-                    found += 1
-                    hits.append(True)
-            else:
-                parts = [share(b) for b in el.branches]
-                if any(part is not None for part in parts):
-                    hits.append(all(parts))
-        if not hits:
-            return None
-        return len(hits) == 1 and hits[0]
-
-    return bool(share(c)) and found == len(m)
+    """Is ``m`` one of the markings the tree generates?  The inclusion test
+    on the tree whose only marking is ``m``."""
+    return mpe_exists(CNode((CBlock(tuple(CNode((p,)) for p in m)),)), c)
 
 
 # ── deletion, dysfunctionality, break-off ───────────────────────────────────
@@ -237,16 +259,12 @@ def generates(c: CTree, m: Marking) -> bool:
 
 def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
     """Remove the given places from every node; the shape stays intact."""
-    new_elements: list[str | CBlock] = []
-    for el in c.elements:
-        if isinstance(el, str):
-            if el not in labels:
-                new_elements.append(el)
-        else:
-            new_elements.append(
-                CBlock(tuple(delete_places(b, labels) for b in el.branches))
-            )
-    return CNode(tuple(new_elements))
+    return CNode(tuple(
+        el if isinstance(el, str)
+        else CBlock(tuple(delete_places(b, labels) for b in el.branches))
+        for el in c.elements
+        if not isinstance(el, str) or el not in labels
+    ))
 
 
 def is_dysfunctional(c: CTree) -> bool:
@@ -255,26 +273,27 @@ def is_dysfunctional(c: CTree) -> bool:
 
 
 def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
-    """True iff every marking of the tree meets ``labels``.
+    """True iff every marking of the tree meets ``labels`` (equivalently:
+    deleting them leaves the tree unable to generate any marking)."""
 
-    Equivalently: deleting the set leaves the tree unable to generate any
-    marking.
-    """
-    return is_dysfunctional(delete_places(c, frozenset(labels)))
+    def survives(node: CNode) -> bool:
+        return not node.own_places <= labels or any(
+            all(survives(b) for b in block.branches) for block in node.live_blocks
+        )
+
+    return not survives(c)
 
 
-# ── marking-preserving embedding ────────────────────────────────────────────
+# ── exact marking inclusion ─────────────────────────────────────────────────
 
 
 class EmbeddingMemo:
-    """Node-pair verdicts shared by several embedding checks.
+    """Node-pair verdicts shared by several inclusion checks.
 
-    A verdict depends only on the two subtrees, and :func:`gcs` keeps
-    sibling branches as the original objects, so checks on the gcs trees of
-    one pair of nets share most node pairs.  Keys are node identities, so the
-    memo holds every tree it has checked: a node freed while the memo lives
-    could hand its id to a new node and inherit a wrong verdict.  Drop the
-    memo when the checks are done.
+    :func:`gcs` keeps sibling branches as the original objects, so checks on
+    the gcs trees of one pair of nets share most node pairs.  Keys are node
+    identities, so the memo holds every tree it has checked (a freed node's
+    id could be reused); drop it when the checks are done.
     """
 
     def __init__(self) -> None:
@@ -288,76 +307,97 @@ class EmbeddingMemo:
 def mpe_exists(c: CTree, c2: CTree, memo: EmbeddingMemo | None = None) -> bool:
     """Can ``c2`` generate every marking that ``c`` generates?
 
-    Checked structurally: each node's places must reappear in the matched
-    node of ``c2``, each of its marking-capable blocks must map injectively
-    onto a distinct block there, and matched blocks must pair up their
-    branches one-to-one (equal branch counts), recursively.  A block with a
-    dead branch (possible after place deletion) never realizes a marking, so
-    it imposes no requirement on ``c2``.  Pass one ``memo`` to a series of
+    Exact, and decided without search, for trees with unique labels where the
+    empty marking is never one alternative among others (every tree built
+    from a net, and its gcs trees and deletions): such a tree is a cotree,
+    its markings are the maximal cliques of the graph of concurrent places,
+    and so no marking holds another.  Pass one ``memo`` to a series of
     checks to share node-pair verdicts between them.
     """
     if memo is None:
         memo = EmbeddingMemo()
     memo.hold(c, c2)
-    return _node_ok(c, c2, memo.verdicts)
+    return _includes(c, c2, memo.verdicts)
 
 
-def _live_blocks(n: CNode) -> list[int]:
-    return [i for i, b in enumerate(n.blocks) if b.generable]
+def _includes(
+    x: CNode, y: CNode, verdicts: dict, cut: frozenset[str] | None = None
+) -> bool:
+    """Is every marking of ``x``, or its share inside ``cut``, one of ``y``?
 
-
-def _node_ok(n: CNode, n2: CNode, verdicts: dict[tuple[int, int], bool]) -> bool:
-    key = (id(n), id(n2))
-    ok = verdicts.get(key)
+    Each alternative of ``x`` (a place, or a live block as the product of its
+    factors) is checked on its own.  A share that leaves some marking empty
+    fails, as no marking of ``y`` holds another.  Whole nodes are memoised.
+    """
+    key = (id(x), id(y))
+    ok = verdicts.get(key) if cut is None else None
     if ok is None:
-        verdicts[key] = False  # break self-recursion defensively; trees are acyclic
-        ok = n.own_places <= n2.own_places and _blocks_match(n, n2, verdicts)
-        verdicts[key] = ok
+        ok = all(_place_in(p, y) for p in x.own_places - y.own_places)
+        for b in x.live_blocks:
+            views = [(f, None if cut is None or f.place_set <= cut else f.place_set & cut)
+                     for f in b.factors if cut is None or not f.place_set.isdisjoint(cut)]
+            ok = ok and _product_in(views, y, verdicts)
+        if cut is None:
+            verdicts[key] = ok
     return ok
 
 
-def _blocks_match(n: CNode, n2: CNode, verdicts: dict[tuple[int, int], bool]) -> bool:
-    """Do n's live blocks map injectively onto matching blocks of n2?"""
-    live = _live_blocks(n)
-    return _max_matching(
-        len(live),
-        len(n2.blocks),
-        lambda i, j: _branches_match(n.blocks[live[i]], n2.blocks[j], verdicts),
-    )
+def _product_in(
+    views: list[tuple[CNode, frozenset[str] | None]], y: CNode, verdicts: dict
+) -> bool:
+    """Is every marking of the product of ``views`` one of ``y``?
 
-
-def _branches_match(b: CBlock, b2: CBlock, verdicts: dict[tuple[int, int], bool]) -> bool:
-    """Do the branches of two blocks pair up one-to-one?"""
-    if len(b.branches) != len(b2.branches):
-        return False
-    return _max_matching(
-        len(b.branches),
-        len(b2.branches),
-        lambda i, j: _node_ok(b.branches[i], b2.branches[j], verdicts),
-    )
-
-
-def _max_matching(n_left: int, n_right: int, edge) -> bool:
-    """Does a bipartite matching cover every left node?
-
-    Classic augmenting-path search.
+    A view is a factor node and the places its share may hold (None: all).
+    Two or more factors give markings of two or more places that overlap
+    pairwise, so all lie in the block alternative of ``y`` holding any one of
+    their places.  Each factor of that block must generate its share; a view
+    spread over several of them is cut into one view per factor.
     """
-    match_right: list[int | None] = [None] * n_right
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in range(n_right):
-            if j in seen or not edge(i, j):
-                continue
-            seen.add(j)
-            if match_right[j] is None or augment(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    for i in range(n_left):
-        if not augment(i, set()):
+    if len(views) == 1:
+        return _includes(views[0][0], y, verdicts, views[0][1])
+    if not views:  # the empty marking
+        return any(not b.factors for b in y.live_blocks)
+    x, cut = views[0]
+    target = _block_holding(next(iter(cut or x.place_set)), y)
+    factors = target.factors if target else ()
+    if len(factors) == 1:
+        return _product_in(views, factors[0], verdicts)
+    shares: list[list] = [[] for _ in factors]
+    for x, cut in views:
+        j = _locate(next(iter(cut or x.place_set)), factors)
+        if cut is None and j is not None and x.place_set <= factors[j].place_set:
+            shares[j].append((x, None))
+            continue
+        parts: dict[int | None, set[str]] = {}
+        for p in cut or x.place_set:
+            parts.setdefault(_locate(p, factors), set()).add(p)
+        if None in parts:
             return False
+        for j, part in parts.items():
+            shares[j].append((x, frozenset(part)))
+    return all(s and _product_in(s, f, verdicts) for s, f in zip(shares, factors))
+
+
+def _place_in(p: str, y: CNode) -> bool:
+    """Is the one-place marking ``{p}`` one of ``y``?"""
+    while p not in y.own_places:
+        block = _block_holding(p, y)
+        if block is None or len(block.factors) != 1:
+            return False
+        y = block.factors[0]
     return True
+
+
+def _block_holding(p: str, y: CNode) -> CBlock | None:
+    """The block alternative of ``y`` that may hold ``p`` (a lone one may)."""
+    blocks = y.live_blocks
+    if len(blocks) == 1:
+        return blocks[0]
+    return next((b for b in blocks if _locate(p, b.factors) is not None), None)
+
+
+def _locate(p: str, factors: tuple[CNode, ...]) -> int | None:
+    return next((j for j, f in enumerate(factors) if p in f.place_set), None)
 
 
 # ── text and DOT rendering ──────────────────────────────────────────────────
@@ -365,31 +405,24 @@ def _max_matching(n_left: int, n_right: int, edge) -> bool:
 
 def mgs_text(c: CTree) -> str:
     """Nested set/tuple notation: nodes in braces, blocks in parentheses."""
-    parts = []
-    for el in c.elements:
-        if isinstance(el, str):
-            parts.append(el)
-        else:
-            parts.append("(" + ",".join(mgs_text(b) for b in el.branches) + ")")
+    parts = (
+        el if isinstance(el, str) else "(" + ",".join(map(mgs_text, el.branches)) + ")"
+        for el in c.elements
+    )
     return "{" + ",".join(parts) + "}"
 
 
 def ctree_dot(c: CTree) -> str:
     """Graphviz text: nodes as boxes listing places, blocks as squares."""
     lines = ["digraph ctree {", "  rankdir=TB;"]
-    counter = 0
-
-    def fresh(prefix: str) -> str:
-        nonlocal counter
-        counter += 1
-        return f"{prefix}{counter}"
+    counter = itertools.count(1)
 
     def emit_node(node: CNode) -> str:
-        name = fresh("n")
+        name = f"n{next(counter)}"
         label = ",".join(el for el in node.elements if isinstance(el, str)) or "∅"
         lines.append(f'  {name} [shape=box, label="{label}"];')
         for block in node.blocks:
-            block_name = fresh("b")
+            block_name = f"b{next(counter)}"
             lines.append(f'  {block_name} [shape=square, label=""];')
             lines.append(f"  {name} -> {block_name};")
             for branch in block.branches:

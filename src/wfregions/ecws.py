@@ -229,9 +229,9 @@ def _is_single_token(label: str) -> bool:
 # ── parser ──────────────────────────────────────────────────────────────────
 
 
-#: Deepest bracket nesting the parser accepts.  The parser, ``build_ctree``
-#: and the C-tree embedding recurse at every level, so the bound keeps them
-#: clear of Python's recursion limit.
+#: Deepest bracket nesting the parser accepts.  The parser and the C-tree
+#: renderers recurse at every level (the inclusion test at every parallel
+#: one), so the bound keeps them clear of Python's recursion limit.
 MAX_NESTING = 64
 
 

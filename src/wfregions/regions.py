@@ -3,12 +3,12 @@
 Given the old and the new net as concurrency trees, every old place is
 classified by how the change affects the markings it participates in:
 removed, lost or acquired concurrency, or reformed concurrency (weakly —
-some of its concurrent markings die; strongly — all of them do).  From the
-classes follow the overestimated and the perfect member places, the
-structural change region (every place occurring in some non-migratable
-marking), and — when one exists — the perfect region whose members hit
-exactly the non-migratable markings, giving per-marking decisions with no
-false calls in either direction.
+some of its concurrent markings die, an exact inclusion test; strongly — by
+the paper's break-off rule).  From the classes follow the overestimated and
+the perfect member places, the structural change region (every place
+occurring in some non-migratable marking), and — when one exists — the
+perfect region whose members hit exactly the non-migratable markings, giving
+per-marking decisions with no false calls in either direction.
 """
 
 from __future__ import annotations
@@ -16,16 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .ctree import (
-    CTree,
-    EmbeddingMemo,
-    build_ctree,
-    delete_places,
-    gcs,
-    is_breakoff,
-    mpe_exists,
-    places,
-)
+from .ctree import CTree, EmbeddingMemo, build_ctree, delete_places, gcs, is_breakoff
+from .ctree import mpe_exists, places
 from .ecws import BlockTree
 from .wfnet import Marking, MemberClass
 
@@ -64,17 +56,13 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
 
     Removal is tested first; positional (root/non-root) moves next; places
     concurrent in both nets are compared through their concurrent-submarking
-    trees — an embedding failure means weak reformed concurrency, and weak
+    trees — failed marking inclusion means weak reformed concurrency, and weak
     plus a break-off of the places lost from (or new in) the concurrent
     surroundings means strong.  A place's gcs depends only on the node
     holding it, so the reformed verdict is computed once per pair of old and
-    new node, and all those checks share one embedding memo.
+    new node, and all those checks share one inclusion memo.
     """
-    r: set[str] = set()
-    lc: set[str] = set()
-    ac: set[str] = set()
-    wrc: set[str] = set()
-    src: set[str] = set()
+    r, lc, ac, wrc, src = set(), set(), set(), set(), set()
     routes_new = c2.place_index
     memo = EmbeddingMemo()
     verdicts: dict[tuple[int, int], tuple[bool, bool]] = {}
@@ -97,13 +85,7 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
                 wrc.add(p)
             if strong:
                 src.add(p)
-    return ChangeSets(
-        cr_r=frozenset(r),
-        cr_lc=frozenset(lc),
-        cr_ac=frozenset(ac),
-        cr_wrc=frozenset(wrc),
-        cr_src=frozenset(src),
-    )
+    return ChangeSets(*map(frozenset, (r, lc, ac, wrc, src)))
 
 
 def _reformed(p: str, c: CTree, c2: CTree, memo: EmbeddingMemo) -> tuple[bool, bool]:
@@ -131,21 +113,11 @@ def scr(over: frozenset[str], perf: frozenset[str]) -> frozenset[str]:
 def pscr_exists(
     c: CTree, c2: CTree, over: frozenset[str], perf: frozenset[str]
 ) -> bool:
-    """Decide whether the perfect members hit every non-migratable marking.
-
-    Cheap cases first: with no overestimated places the perfect members are
-    the whole region; if they break off the old tree, every old marking hits
-    them anyway; if they break off only the new tree, markings avoiding them
-    die in the new net unseen.  Otherwise both trees survive deletion of the
-    perfect members and the question reduces to an embedding check between
-    the surviving trees.
-    """
+    """Decide whether the perfect members hit every non-migratable marking:
+    trivially with no overestimated places, else exactly when every old
+    marking avoiding them is a new one (inclusion after deleting them)."""
     if not over:
         return True
-    if is_breakoff(c, perf):
-        return True
-    if is_breakoff(c2, perf):
-        return False
     return mpe_exists(delete_places(c, perf), delete_places(c2, perf))
 
 
@@ -156,16 +128,9 @@ def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
     over, perf = member_sets(cs)
     region = scr(over, perf)
     exists = pscr_exists(c, c2, over, perf)
-    per_place = {
-        p: (
-            MemberClass.PERFECT_MEMBER
-            if p in perf
-            else MemberClass.OVERESTIMATION
-            if p in over
-            else MemberClass.SAFE
-        )
-        for p in places(c)
-    }
+    classes = dict.fromkeys(over, MemberClass.OVERESTIMATION)
+    classes.update(dict.fromkeys(perf, MemberClass.PERFECT_MEMBER))
+    per_place = {p: classes.get(p, MemberClass.SAFE) for p in places(c)}
     return AnalysisReport(
         change_sets=cs,
         over=over,
@@ -187,9 +152,7 @@ def decide_marking(m: Marking, report: AnalysisReport) -> Decision:
     """
     if report.pscr_exists:
         assert report.pscr is not None
-        return (
-            Decision.NON_MIGRATABLE if m & report.pscr else Decision.MIGRATABLE
-        )
+        return Decision.NON_MIGRATABLE if m & report.pscr else Decision.MIGRATABLE
     if not m & report.scr:
         return Decision.MIGRATABLE
     if m & report.perf:
@@ -200,11 +163,7 @@ def decide_marking(m: Marking, report: AnalysisReport) -> Decision:
 def report_json(report: AnalysisReport) -> dict:
     """Plain-data form of a report with sorted label arrays."""
     return {
-        "cr_r": sorted(report.change_sets.cr_r),
-        "cr_lc": sorted(report.change_sets.cr_lc),
-        "cr_ac": sorted(report.change_sets.cr_ac),
-        "cr_wrc": sorted(report.change_sets.cr_wrc),
-        "cr_src": sorted(report.change_sets.cr_src),
+        **{name: sorted(labels) for name, labels in vars(report.change_sets).items()},
         "over": sorted(report.over),
         "perf": sorted(report.perf),
         "scr": sorted(report.scr),

@@ -5,7 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from wfregions import BlockTree, parse, random_net_pair
+from wfregions import (
+    AndBlock,
+    BlockTree,
+    LoopBlock,
+    Place,
+    SeqBlock,
+    Transition,
+    XorBlock,
+    parse,
+    random_net_pair,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -25,6 +35,21 @@ def nested_and(depth: int) -> str:
     for k in reversed(range(depth)):
         text = f"a{k} b{k} ({text})(c{k}) e{k} f{k}"
     return text
+
+
+def deep_tree(depth: int) -> SeqBlock:
+    """Blocks nested ``depth`` deep, cycling through parallel, choice and loop."""
+    seq = SeqBlock((Place("z"),))
+    for k in reversed(range(depth)):
+        b, c, e = Transition(f"b{k}"), Transition(f"c{k}"), Transition(f"e{k}")
+        if k % 3 == 0:
+            mid = (b, AndBlock((seq, SeqBlock((Place(f"d{k}"),)))), e)
+        elif k % 3 == 1:
+            mid = (XorBlock((SeqBlock((b, *seq.children, e)), SeqBlock((c,)))),)
+        else:
+            mid = (b, LoopBlock(seq, SeqBlock((c,))), e)
+        seq = SeqBlock((Place(f"a{k}"), *mid, Place(f"f{k}")))
+    return seq
 
 
 def fixture_pair(old: str, new: str) -> tuple[BlockTree, BlockTree]:

@@ -1,5 +1,5 @@
 """Composition-tree behavior: marking generation, subtrees, deletion,
-break-off sets, and the marking-preserving embedding."""
+break-off sets, and the exact marking-inclusion test."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from wfregions import (
     reachable_markings,
     sample_marking,
 )
+from wfregions.randomnets import mutate_transpose_places
 
 from conftest import load_fixture
 
@@ -283,3 +284,100 @@ def test_membership_agrees_with_enumeration(seed, data):
     assert all(generates(d, m) for m in valid)
     m = _subset(data, places(c), "m")
     assert generates(d, m) == (m in valid)
+
+
+# ── exactness of the inclusion test ─────────────────────────────────────────
+
+
+def _random_ctree(rng: random.Random, labels: list[str], depth: int = 0) -> CNode:
+    """A C-tree over labels popped from ``labels`` (so unique): blocks of one
+    to three branches, and nodes below the root that may be empty."""
+    elements: list = []
+    for _ in range(rng.randint(0 if depth else 1, 3)):
+        if labels and (depth == 3 or rng.random() < 0.5):
+            elements.append(labels.pop())
+        elif depth < 3:
+            width = rng.choice((1, 2, 2, 3))
+            elements.append(
+                CBlock(tuple(_random_ctree(rng, labels, depth + 1) for _ in range(width)))
+            )
+    return CNode(tuple(elements))
+
+
+def _relabel(c: CNode, mapping: dict[str, str]) -> CNode:
+    return CNode(tuple(
+        mapping.get(el, el) if isinstance(el, str)
+        else CBlock(tuple(_relabel(b, mapping) for b in el.branches))
+        for el in c.elements
+    ))
+
+
+def _spread_pair(rng: random.Random, labels: list[str]) -> tuple[CNode, CNode]:
+    """``e`` beside a choice of products, and ``e`` beside the product of
+    choices over the same cells: each factor of the first spreads over
+    several factors of the second, whose markings include the first's."""
+    rows, cols = rng.randint(2, 3), rng.randint(2, 3)
+    cells = [[_random_ctree(rng, labels, 2) for _ in range(cols)] for _ in range(rows)]
+    choice = CNode(tuple(CBlock(tuple(row)) for row in cells))
+    product = CNode((CBlock(tuple(
+        CNode(tuple(el for row in cells for el in row[k].elements)) for k in range(cols)
+    )),))
+    return tuple(CNode((CBlock((CNode(("e",)), n)),)) for n in (choice, product))
+
+
+def _ctree_pair(seed: int) -> tuple[CNode, CNode]:
+    """Two trees over one small alphabet, of one of five kinds by seed."""
+    rng = random.Random(seed)
+    alphabet = [f"x{i}" for i in range(rng.randint(3, 9))]
+    a = _random_ctree(rng, rng.sample(alphabet, len(alphabet)))
+    labels = sorted(places(a))
+    kind = seed % 5
+    if kind == 4:  # factors that spread over several target factors
+        a, b = _spread_pair(rng, rng.sample(alphabet, len(alphabet)) + ["y1", "y2", "y3"])
+        labels = sorted(places(b))
+        if rng.random() < 0.3 and len(labels) >= 2:
+            x, y = rng.sample(labels, 2)
+            b = _relabel(b, {x: y, y: x})
+    elif kind == 1 and len(labels) >= 2:  # label-permuted copy
+        moved = rng.sample(labels, rng.randint(2, len(labels)))
+        b = _relabel(a, dict(zip(moved, moved[1:] + moved[:1])))
+    elif kind == 2:  # deletion residue, dead branches included
+        b = delete_places(a, set(rng.sample(labels, rng.randint(0, len(labels)))))
+    else:  # another tree over the same labels, or the gcs trees of a place
+        b = _random_ctree(rng, rng.sample(alphabet, len(alphabet)))
+        common = sorted(places(a) & places(b))
+        if kind == 3 and common:
+            p = rng.choice(common)
+            a, b = gcs(p, a), gcs(p, b)
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_inclusion_is_exact_on_random_ctrees(seed):
+    a, b = _ctree_pair(seed)
+    assert mpe_exists(a, b) == (markings_of(a) <= markings_of(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), data=st.data())
+def test_membership_is_exact_on_random_ctrees(seed, data):
+    a, b = _ctree_pair(seed)
+    valid = markings_of(a)
+    assert all(generates(a, m) for m in valid)
+    m = _subset(data, places(a) | places(b) | {"zz"}, "m")
+    assert generates(a, m) == (m in valid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_inclusion_is_exact_on_transposed_pairs(seed):
+    # whole trees and every gcs pair of a block tree and a transposition of it
+    rng = random.Random(seed)
+    old = random_tree(rng, 5, 12)
+    new = mutate_transpose_places(old, rng) or old
+    c, c2 = build_ctree(old), build_ctree(new)
+    pairs = [(c, c2), (c2, c)]
+    pairs += [(gcs(p, c), gcs(p, c2)) for p in sorted(places(c))]
+    for a, b in pairs:
+        assert mpe_exists(a, b) == (markings_of(a) <= markings_of(b))

@@ -35,7 +35,7 @@ from wfregions.ecws import (
     walk,
 )
 
-from conftest import load_fixture, nested_and
+from conftest import deep_tree, load_fixture, nested_and
 
 # The six showcase strings: a plain sequence, a fork-join in a sequence, a
 # one-shot choice, a nested fork-join, a loop, and a loop with a choice in
@@ -178,9 +178,9 @@ def test_nesting_bound():
 
 
 def test_nesting_bound_counts_every_bracket_kind():
-    assert parse(format_tree(_deep_tree(MAX_NESTING))) == _deep_tree(MAX_NESTING)
+    assert parse(format_tree(deep_tree(MAX_NESTING))) == deep_tree(MAX_NESTING)
     with pytest.raises(ParseError, match="nesting"):
-        parse(format_tree(_deep_tree(MAX_NESTING + 1)))
+        parse(format_tree(deep_tree(MAX_NESTING + 1)))
 
 
 def test_duplicate_labels_rejected():
@@ -271,21 +271,6 @@ def _reference_walk(seq, path=()):
             yield from _reference_walk(child.back, (*path, (i, 1)))
 
 
-def _deep_tree(depth):
-    """Blocks nested ``depth`` deep, cycling through parallel, choice and loop."""
-    seq = SeqBlock((Place("z"),))
-    for k in reversed(range(depth)):
-        b, c, e = Transition(f"b{k}"), Transition(f"c{k}"), Transition(f"e{k}")
-        if k % 3 == 0:
-            mid = (b, AndBlock((seq, SeqBlock((Place(f"d{k}"),)))), e)
-        elif k % 3 == 1:
-            mid = (XorBlock((SeqBlock((b, *seq.children, e)), SeqBlock((c,)))),)
-        else:
-            mid = (b, LoopBlock(seq, SeqBlock((c,))), e)
-        seq = SeqBlock((Place(f"a{k}"), *mid, Place(f"f{k}")))
-    return seq
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_walk_yields_every_sequence_once_in_preorder(seed):
     tree = random_tree(random.Random(seed), 8, 80)
@@ -319,7 +304,7 @@ def test_edit_seq_applies_the_edit():
 
 def test_deep_tree_needs_no_recursion():
     depth = 500
-    tree = _deep_tree(depth)
+    tree = deep_tree(depth)
     assert sum(1 for _ in walk(tree)) == 2 * depth + 1
     places = place_labels(tree)
     assert len(places) == 1 + 2 * depth + len(range(0, depth, 3))

@@ -39,7 +39,7 @@ from wfregions import (
 from wfregions.ecws import tokenize
 from wfregions.randomnets import mutate_transpose_places
 
-from conftest import fixture_pair, load_fixture
+from conftest import deep_tree, fixture_pair, load_fixture
 
 
 def analyzed(old_name: str, new_name: str):
@@ -380,6 +380,16 @@ def test_decide_without_perfect_region():
     # inside the region, no perfect members: cannot tell
     assert decide_marking(frozenset({"p2", "p4"}), report) is Decision.UNKNOWN
     assert decide_marking(frozenset({"p2", "p5"}), report) is Decision.UNKNOWN
+
+
+def test_deep_tree_built_in_code_is_analyzed():
+    # 500 blocks deep, 167 of them parallel: far past the parser's bound,
+    # yet the C-tree build and the inclusion test stay within the stack
+    tree = deep_tree(500)
+    report = analyze(tree, deep_tree(500))
+    assert len(report.per_place) == 1168
+    assert set(report.per_place.values()) == {MemberClass.SAFE}
+    assert report.pscr_exists
 
 
 def test_decide_unknown_only_without_perfect_region():
