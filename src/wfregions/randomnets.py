@@ -417,7 +417,7 @@ def check_pair_agreement(
     if report.per_place != oracle.per_place:
         diff = {
             p: (report.per_place[p].value, oracle.per_place[p].value)
-            for p in report.per_place
+            for p in sorted(report.per_place)
             if report.per_place[p] != oracle.per_place[p]
         }
         problems.append(f"per_place (structural, oracle): {diff}")

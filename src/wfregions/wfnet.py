@@ -5,11 +5,19 @@ from ECWS text are safe, a set is a faithful representation.  The oracle
 compares two nets purely through their reachable marking sets: a marking of
 the old net is migratable exactly when the same label set is reachable in the
 new net.
+
+Reachability, the soundness check and the oracle share one breadth-first
+explorer.  It holds a state as an int with one bit per place (places are
+numbered in sorted label order) and, at each state, tests only the
+transitions that a marked place feeds, in transition-name order.
+``oracle_classify`` explores each net once, on one place numbering shared by
+both nets, so comparing states is comparing ints; markings become
+``frozenset`` objects only for its report.  Nothing here reads C-trees: the
+oracle stays independent of the structural analysis it checks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -23,7 +31,11 @@ from .errors import (
 
 Marking = frozenset[str]
 
-#: Default bound on the number of distinct markings explored per net.
+#: Default bound on the number of distinct markings explored per net.  The
+#: oracle peaks at about 480 bytes per reachable state (tracemalloc: 477 B on
+#: the benchmark's oracle_corpus probe pairs and on a composed pair of 56k
+#: states per net), so the default of 1M states per net lets one pair hold
+#: about 1 GB (one net about 0.5 GB) before the cap trips.
 DEFAULT_STATE_CAP = 1_000_000
 
 
@@ -102,48 +114,170 @@ def fire(net: WfNet, marking: Marking, transition: str) -> Marking:
     return (marking - net.pre[transition]) | net.post[transition]
 
 
+class _PlaceIndex:
+    """One bit per place, numbered in sorted label order, for one or more nets.
+
+    Every label a net names (its places, its source and sink, and the ends of
+    its arcs) gets a bit, so a marking of any of the nets is an int.
+    """
+
+    def __init__(self, *nets: WfNet) -> None:
+        labels: set[str] = set()
+        for net in nets:
+            labels |= net.places | {net.init, net.end}
+            for t in net.transitions:
+                labels |= net.pre[t] | net.post[t]
+        self.labels = tuple(sorted(labels))
+        self.bit = {p: 1 << i for i, p in enumerate(self.labels)}
+
+    def mask(self, places: frozenset[str]) -> int:
+        return sum(self.bit[p] for p in places)
+
+    def decode(self, mask: int) -> Marking:
+        labels, found = self.labels, []
+        while mask:
+            top = mask.bit_length() - 1
+            found.append(labels[top])
+            mask ^= 1 << top
+        return frozenset(found)
+
+
+@dataclass
+class _StateSpace:
+    """The reachable states of one net, numbered in breadth-first order.
+
+    ``states[i]`` is the bitmask of state ``i`` (state 0 is the initial
+    marking) and ``number`` maps a bitmask back to its state.  ``edges[i]``
+    lists the firings at state ``i`` flat, as ``rank, target, rank, target,
+    ...`` in transition-name order: a rank indexes ``transitions`` and a
+    target is a state number.
+    """
+
+    transitions: tuple[str, ...]
+    states: list[int]
+    number: dict[int, int]
+    edges: list[list[int]]
+
+
+def _explore(net: WfNet, index: _PlaceIndex, cap: int) -> _StateSpace:
+    """Breadth-first exploration from the initial marking.
+
+    Raises StateExplosionError once more than ``cap`` markings have been
+    found and SoundnessError if a firing would put a second token on a place
+    (the nets this package builds are safe, so that indicates a malformed
+    net).
+    """
+    names = tuple(sorted(net.transitions))
+    # Each transition as (rank, input mask, output mask), filed under one of
+    # its input places (the highest numbered), since it can fire only where
+    # that place is marked; one without input places is a candidate at every
+    # state.
+    fed_by: list[list[tuple[int, int, int]]] = [[] for _ in index.labels]
+    always: list[tuple[int, int, int]] = []
+    for rank, t in enumerate(names):
+        need = index.mask(net.pre[t])
+        move = (rank, need, index.mask(net.post[t]))
+        if need:
+            fed_by[need.bit_length() - 1].append(move)
+        else:
+            always.append(move)
+
+    start = index.bit[net.init]
+    states, number, edges = [start], {start: 0}, []
+    for marking in states:  # the loop also visits the states it appends: FIFO
+        candidates = list(always)
+        tokens = marking
+        while tokens:
+            top = tokens.bit_length() - 1
+            candidates += fed_by[top]
+            tokens ^= 1 << top
+        candidates.sort()
+        row: list[int] = []
+        for rank, need, out in candidates:
+            if marking & need != need:
+                continue
+            rest = marking ^ need
+            if rest & out:
+                raise SoundnessError(
+                    f"firing {names[rank]!r} at {{{marking_text(index.decode(marking))}}}"
+                    " duplicates a token"
+                )
+            nxt = rest | out
+            target = number.get(nxt)
+            if target is None:
+                if len(states) >= cap:
+                    raise StateExplosionError(f"more than {cap} markings reachable")
+                target = number[nxt] = len(states)
+                states.append(nxt)
+            row += (rank, target)
+        edges.append(row)
+    return _StateSpace(names, states, number, edges)
+
+
+def _check_sound(net: WfNet, index: _PlaceIndex, space: _StateSpace) -> None:
+    """Proper termination and no dead transitions, on an explored net."""
+    final = space.number.get(index.bit[net.end])
+    if final is None:
+        raise SoundnessError("final marking is not reachable")
+
+    fired: set[int] = set()
+    for row in space.edges:
+        fired.update(row[::2])
+    dead = net.transitions - {space.transitions[rank] for rank in fired}
+    if dead:
+        raise SoundnessError(f"dead transitions: {', '.join(sorted(dead))}")
+
+    predecessors: list[list[int]] = [[] for _ in space.states]
+    for i, row in enumerate(space.edges):
+        for target in row[1::2]:
+            predecessors[target].append(i)
+    can_finish = bytearray(len(space.states))
+    can_finish[final] = 1
+    queue = [final]
+    for state in queue:  # grows while it is walked, as in _explore
+        for prev in predecessors[state]:
+            if not can_finish[prev]:
+                can_finish[prev] = 1
+                queue.append(prev)
+    if len(queue) < len(space.states):
+        stuck = (
+            index.decode(mask)
+            for mask, ok in zip(space.states, can_finish)
+            if not ok
+        )
+        sample = marking_text(min(stuck, key=marking_text))
+        raise SoundnessError(f"marking {{{sample}}} cannot reach the final marking")
+
+
 def reachability_graph(
     net: WfNet, cap: int = DEFAULT_STATE_CAP
 ) -> dict[Marking, tuple[tuple[str, Marking], ...]]:
     """Breadth-first reachability from the initial marking.
 
-    Returns the full successor relation, keyed by marking.  Raises
-    StateExplosionError once more than ``cap`` markings have been found and
-    SoundnessError if a firing would put a second token on a place (the nets
-    this package builds are safe, so that indicates a malformed net).
+    Returns the full successor relation, keyed by marking, in the order the
+    markings were found; each marking's successors follow transition-name
+    order.  Raises StateExplosionError once more than ``cap`` markings have
+    been found and SoundnessError if a firing would put a second token on a
+    place (the nets this package builds are safe, so that indicates a
+    malformed net).
     """
-    start = net.initial_marking
-    graph: dict[Marking, tuple[tuple[str, Marking], ...]] = {}
-    queue: deque[Marking] = deque((start,))
-    seen = {start}
-    while queue:
-        marking = queue.popleft()
-        succs = []
-        for t in sorted(net.transitions):
-            pre = net.pre[t]
-            if not pre <= marking:
-                continue
-            rest = marking - pre
-            if rest & net.post[t]:
-                raise SoundnessError(
-                    f"firing {t!r} at {{{marking_text(marking)}}} duplicates a token"
-                )
-            nxt = rest | net.post[t]
-            succs.append((t, nxt))
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise StateExplosionError(
-                        f"more than {cap} markings reachable"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-        graph[marking] = tuple(succs)
-    return graph
+    index = _PlaceIndex(net)
+    space = _explore(net, index, cap)
+    markings = [index.decode(mask) for mask in space.states]
+    names = space.transitions
+    return {
+        markings[i]: tuple(
+            (names[rank], markings[target])
+            for rank, target in zip(row[::2], row[1::2])
+        )
+        for i, row in enumerate(space.edges)
+    }
 
 
 def reachable_markings(net: WfNet, cap: int = DEFAULT_STATE_CAP) -> frozenset[Marking]:
     """The set of markings reachable from the initial marking."""
-    return frozenset(reachability_graph(net, cap))
+    index = _PlaceIndex(net)
+    return frozenset(map(index.decode, _explore(net, index, cap).states))
 
 
 def check_soundness(net: WfNet, cap: int = DEFAULT_STATE_CAP) -> None:
@@ -152,31 +286,17 @@ def check_soundness(net: WfNet, cap: int = DEFAULT_STATE_CAP) -> None:
     Every reachable marking must be able to reach the final marking, and
     every transition must fire somewhere in the reachability graph.
     """
-    graph = reachability_graph(net, cap)
-    final = net.final_marking
-    if final not in graph:
-        raise SoundnessError("final marking is not reachable")
+    index = _PlaceIndex(net)
+    _check_sound(net, index, _explore(net, index, cap))
 
-    fired = {t for succs in graph.values() for t, _ in succs}
-    dead = net.transitions - fired
-    if dead:
-        raise SoundnessError(f"dead transitions: {', '.join(sorted(dead))}")
 
-    predecessors: dict[Marking, set[Marking]] = {m: set() for m in graph}
-    for m, succs in graph.items():
-        for _, nxt in succs:
-            predecessors[nxt].add(m)
-    can_finish = {final}
-    queue = deque((final,))
-    while queue:
-        for prev in predecessors[queue.popleft()]:
-            if prev not in can_finish:
-                can_finish.add(prev)
-                queue.append(prev)
-    stuck = set(graph) - can_finish
-    if stuck:
-        sample = marking_text(min(stuck, key=marking_text))
-        raise SoundnessError(f"marking {{{sample}}} cannot reach the final marking")
+def _sound_states(net: WfNet, index: _PlaceIndex, cap: int) -> list[int]:
+    """The states of a net checked sound.  Only the states outlive the call,
+    so the successor and predecessor lists are freed before the caller
+    decodes any marking."""
+    space = _explore(net, index, cap)
+    _check_sound(net, index, space)
+    return space.states
 
 
 class MemberClass(Enum):
@@ -210,36 +330,43 @@ def oracle_classify(
     an overestimation when it appears in both migratable and non-migratable
     markings; otherwise it is safe.  The semantic counterpart of the perfect
     region exists exactly when every non-migratable marking contains a
-    perfect member.
+    perfect member.  Each net is explored once; ``per_place`` follows
+    sorted label order.
     """
-    check_soundness(old, cap)
-    check_soundness(new, cap)
-    reachable_old = reachable_markings(old, cap)
-    reachable_new = reachable_markings(new, cap)
-    non_migratable = frozenset(m for m in reachable_old if m not in reachable_new)
-
+    index = _PlaceIndex(old, new)
+    old_states = _sound_states(old, index, cap)
+    new_states = set(_sound_states(new, index, cap))
+    bad_states: list[int] = []
+    bad = good = 0
+    for mask in old_states:
+        if mask in new_states:
+            good |= mask
+        else:
+            bad |= mask
+            bad_states.append(mask)
     per_place: dict[str, MemberClass] = {}
-    for place in old.places:
-        with_place = [m for m in reachable_old if place in m]
-        bad = [m for m in with_place if m in non_migratable]
-        if bad and len(bad) == len(with_place):
-            per_place[place] = MemberClass.PERFECT_MEMBER
-        elif bad:
+    perfect = 0
+    for place in sorted(old.places):
+        bit = index.bit[place]
+        if not bad & bit:
+            per_place[place] = MemberClass.SAFE
+        elif good & bit:
             per_place[place] = MemberClass.OVERESTIMATION
         else:
-            per_place[place] = MemberClass.SAFE
+            per_place[place] = MemberClass.PERFECT_MEMBER
+            perfect |= bit
+    pscr_exists = all(mask & perfect for mask in bad_states)
 
-    perfect = frozenset(
-        p for p, cls in per_place.items() if cls is MemberClass.PERFECT_MEMBER
-    )
-    scr = frozenset(p for m in non_migratable for p in m)
-    pscr_exists = all(m & perfect for m in non_migratable)
+    decoded = {mask: index.decode(mask) for mask in new_states.union(old_states)}
+    reachable_old = frozenset(decoded[mask] for mask in old_states)
+    non_migratable = frozenset(decoded[mask] for mask in bad_states)
+    reachable_new = frozenset(decoded[mask] for mask in new_states)
     return OracleReport(
         reachable_old=reachable_old,
         reachable_new=reachable_new,
         non_migratable=non_migratable,
         per_place=per_place,
-        semantic_scr=scr,
+        semantic_scr=index.decode(bad),
         semantic_pscr_exists=pscr_exists,
-        semantic_pscr=perfect if pscr_exists else None,
+        semantic_pscr=index.decode(perfect) if pscr_exists else None,
     )

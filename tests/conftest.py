@@ -13,9 +13,11 @@ from wfregions import (
     SeqBlock,
     Transition,
     XorBlock,
+    format_tree,
     parse,
     random_net_pair,
 )
+from wfregions.ecws import tokenize
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -50,6 +52,29 @@ def deep_tree(depth: int) -> SeqBlock:
             mid = (b, LoopBlock(seq, SeqBlock((c,))), e)
         seq = SeqBlock((Place(f"a{k}"), *mid, Place(f"f{k}")))
     return seq
+
+
+def prefixed(text: str, prefix: str) -> str:
+    return " ".join(
+        prefix + tok.text if tok.kind == "ident" else tok.text
+        for tok in tokenize(text)[:-1]
+    )
+
+
+def composed_pair(seed: int, chunks: int = 6):
+    """Chunks of two random segments in parallel, joined in series; the new
+    net mutates every segment once or twice, so many nodes change."""
+    rng = random.Random(seed)
+    texts = ["w0", "w0"]
+    for k in range(chunks):
+        segments = [random_net_pair(rng, 5, 15) for _ in range(2)]
+        for side in (0, 1):
+            branches = "".join(
+                "(" + prefixed(format_tree(pair[side]), f"s{k}{i}_") + ")"
+                for i, pair in enumerate(segments)
+            )
+            texts[side] += f" a{k} {branches} b{k} w{k + 1}"
+    return parse(texts[0]), parse(texts[1])
 
 
 def fixture_pair(old: str, new: str) -> tuple[BlockTree, BlockTree]:

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wfregions
 from wfregions import (
     Decision,
     analyze,
@@ -107,6 +112,33 @@ def test_agreement_check_flags_known_divergence():
         assert f"'{p}': ('overestimation', 'perfect_member')" in per_place
     assert per_place.count("': (") == 2
 
+
+
+def test_agreement_lines_do_not_depend_on_the_hash_seed():
+    # set and frozenset order follows PYTHONHASHSEED; the printed lines must not
+    fixtures = Path(__file__).parent / "fixtures"
+    script = (
+        "import sys\n"
+        "from wfregions import check_pair_agreement, parse\n"
+        "old, new = (parse(open(p, encoding='utf-8').read()) for p in sys.argv[1:])\n"
+        "print('\\n'.join(check_pair_agreement(old, new)))\n"
+    )
+    src = str(Path(wfregions.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script,
+             str(fixtures / "nested.ecws"), str(fixtures / "restructured_new.ecws")],
+            capture_output=True, env=env, timeout=120, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert b"{'p5': ('overestimation', 'perfect_member'), 'p7': (" in outputs.pop()
 
 def test_agreement_check_passes_on_identity():
     tree = parse("p1t1(p2t2p3)(p4t3p5)t4p6")

@@ -22,7 +22,6 @@ from wfregions import (
     check_pair_agreement,
     decide_marking,
     delete_places,
-    format_tree,
     gcs,
     is_breakoff,
     marking_text,
@@ -36,10 +35,9 @@ from wfregions import (
     random_tree,
     report_json,
 )
-from wfregions.ecws import tokenize
 from wfregions.randomnets import mutate_transpose_places
 
-from conftest import deep_tree, fixture_pair, load_fixture
+from conftest import composed_pair, deep_tree, fixture_pair
 
 
 def analyzed(old_name: str, new_name: str):
@@ -125,29 +123,6 @@ def reference_change_sets(c, c2) -> ChangeSets:
                 if is_breakoff(g, lost) or is_breakoff(g2, gained):
                     src.add(p)
     return ChangeSets(*map(frozenset, (r, lc, ac, wrc, src)))
-
-
-def prefixed(text: str, prefix: str) -> str:
-    return " ".join(
-        prefix + tok.text if tok.kind == "ident" else tok.text
-        for tok in tokenize(text)[:-1]
-    )
-
-
-def composed_pair(seed: int, chunks: int = 6):
-    """Chunks of two random segments in parallel, joined in series; the new
-    net mutates every segment once or twice, so many nodes change."""
-    rng = random.Random(seed)
-    texts = ["w0", "w0"]
-    for k in range(chunks):
-        segments = [random_net_pair(rng, 5, 15) for _ in range(2)]
-        for side in (0, 1):
-            branches = "".join(
-                "(" + prefixed(format_tree(pair[side]), f"s{k}{i}_") + ")"
-                for i, pair in enumerate(segments)
-            )
-            texts[side] += f" a{k} {branches} b{k} w{k + 1}"
-    return parse(texts[0]), parse(texts[1])
 
 
 @settings(max_examples=150, deadline=None)
