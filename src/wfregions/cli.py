@@ -22,7 +22,7 @@ import sys
 import traceback
 
 from .ctree import build_ctree, ctree_dot, gcs, generates, mgs_text
-from .ecws import BlockTree, build_net, format_tree, parse
+from .ecws import BlockTree, build_net, format_tree, parse, parse_marking
 from .errors import (
     ParseError,
     StateExplosionError,
@@ -37,7 +37,6 @@ from .wfnet import (
     WfNet,
     marking_text,
     oracle_classify,
-    parse_marking,
 )
 
 
@@ -54,8 +53,8 @@ def _load(path: str) -> BlockTree:
     try:
         return parse(text)
     except ParseError as exc:
-        exc.message = f"{path}: {exc.message}"
-        raise
+        # every parse error carries its line and column: "path:line:col: ..."
+        raise type(exc)(f"{path}:{exc}") from exc
 
 
 def net_dot(net: WfNet) -> str:

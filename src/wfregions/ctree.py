@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Any
 
 from .ecws import AndBlock, BlockTree, Element, Place, Transition, branches_of
 from .errors import UnknownPlaceError
@@ -259,12 +260,20 @@ def generates(c: CTree, m: Marking) -> bool:
 
 def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
     """Remove the given places from every node; the shape stays intact."""
-    return CNode(tuple(
-        el if isinstance(el, str)
-        else CBlock(tuple(delete_places(b, labels) for b in el.branches))
-        for el in c.elements
-        if not isinstance(el, str) or el not in labels
-    ))
+
+    def rebuild(node: CNode) -> Generator[CNode, CNode, CNode]:
+        elements: list[str | CBlock] = []
+        for el in node.elements:
+            if not isinstance(el, str):
+                branches = []
+                for branch in el.branches:
+                    branches.append((yield branch))
+                elements.append(CBlock(tuple(branches)))
+            elif el not in labels:
+                elements.append(el)
+        return CNode(tuple(elements))
+
+    return _drive(rebuild, c)
 
 
 def is_dysfunctional(c: CTree) -> bool:
@@ -276,12 +285,38 @@ def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
     """True iff every marking of the tree meets ``labels`` (equivalently:
     deleting them leaves the tree unable to generate any marking)."""
 
-    def survives(node: CNode) -> bool:
-        return not node.own_places <= labels or any(
-            all(survives(b) for b in block.branches) for block in node.live_blocks
-        )
+    def survives(node: CNode) -> Generator[CNode, bool, bool]:
+        if not node.own_places <= labels:
+            return True
+        for block in node.live_blocks:
+            for branch in block.branches:
+                if not (yield branch):
+                    break
+            else:
+                return True
+        return False
 
-    return not survives(c)
+    return not _drive(survives, c)
+
+
+def _drive(step: Callable[[CNode], Generator], root: CNode) -> Any:
+    """Run a recursion over the nodes below ``root`` on an explicit stack.
+
+    ``step(node)`` is a generator: it yields each branch node whose result it
+    needs, is sent that result back, and returns the node's own result.
+    """
+    stack = [step(root)]
+    result = None
+    while stack:
+        try:
+            branch = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(step(branch))
+            result = None
+    return result
 
 
 # ── exact marking inclusion ─────────────────────────────────────────────────
@@ -405,11 +440,20 @@ def _locate(p: str, factors: tuple[CNode, ...]) -> int | None:
 
 def mgs_text(c: CTree) -> str:
     """Nested set/tuple notation: nodes in braces, blocks in parentheses."""
-    parts = (
-        el if isinstance(el, str) else "(" + ",".join(map(mgs_text, el.branches)) + ")"
-        for el in c.elements
-    )
-    return "{" + ",".join(parts) + "}"
+
+    def text(node: CNode) -> Generator[CNode, str, str]:
+        parts = []
+        for el in node.elements:
+            if isinstance(el, str):
+                parts.append(el)
+            else:
+                branches = []
+                for branch in el.branches:
+                    branches.append((yield branch))
+                parts.append("(" + ",".join(branches) + ")")
+        return "{" + ",".join(parts) + "}"
+
+    return _drive(text, c)
 
 
 def ctree_dot(c: CTree) -> str:

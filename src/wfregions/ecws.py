@@ -13,8 +13,8 @@ transitions.  Bracketed branches are transition-bordered and sit between two
 places.  The first loop group is the place-bordered forward part, the second
 the transition-bordered way back.  Whitespace and commas are interchangeable
 separators, ``#`` starts a comment running to end of line, and a letter
-directly after a digit starts a new label, so ``p1t1p2`` reads as three
-labels.
+directly after a decimal digit starts a new label, so ``p1t1p2`` reads as
+three labels.
 
 ``parse`` produces a validated block tree, ``format_tree`` prints the
 canonical separator-free text, and ``build_net`` wires the tree into a
@@ -25,11 +25,13 @@ knows how each kind of block holds its sequences; ``walk``, ``seq_at`` and
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DuplicateLabelError, LexError, ParseError, SoundnessError
-from .wfnet import WfNet
+from .wfnet import Marking, WfNet
 
 # ── block tree ──────────────────────────────────────────────────────────────
 
@@ -158,13 +160,21 @@ def edit_seq(
     return seq
 
 
-# ── lexer ───────────────────────────────────────────────────────────────────
+# ── scanner ─────────────────────────────────────────────────────────────────
 
-_BRACKETS = "()[]{}"
+#: The label rule, stated here only: a letter or underscore, then word
+#: characters, except that a letter directly after a decimal digit starts the
+#: next label, so ``p1t1`` is two labels.  A letter is a word character other
+#: than ``_`` and the decimal digits, so numerals such as ``²`` and ``½`` count.
+_LABEL = re.compile(r"[^\W\d](?:[\d_]|(?<!\d)\w)*")
+
+#: Separators (whitespace, commas, a ``#`` comment to the end of the line),
+#: then a label, a bracket, an illegal character, or the end of the line.
+#: One of the four always matches after the separators, so none backtracks.
+_TOKEN = re.compile(rf"(?:[\s,]|#.*)*(?:({_LABEL.pattern})|([()\[\]{{}}])|(.)|\Z)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", one of "()[]{}", or "eof"
     text: str
     line: int
@@ -172,199 +182,122 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Split ECWS text into labels and brackets.
+    """Split ECWS text into labels and brackets, closed by an "eof" token.
 
     Raises LexError on an illegal character or when the input holds no
     tokens at all.
     """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace() or ch == ",":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in _BRACKETS:
-            tokens.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            i += 1
-            while i < len(text):
-                nxt = text[i]
-                if nxt.isalpha() and text[i - 1].isdigit():
-                    break  # a letter after a digit run starts a new label
-                if nxt.isalnum() or nxt == "_":
-                    i += 1
-                else:
-                    break
-            tokens.append(Token("ident", text[start:i], line, start_col))
-            col = start_col + (i - start)
-        else:
-            raise LexError(f"illegal character {ch!r}", line, col)
+    for line, chars in enumerate(text.split("\n"), 1):
+        for m in _TOKEN.finditer(chars):
+            group = m.lastindex
+            if group == 1:
+                tokens.append(Token("ident", m[1], line, m.start(1) + 1))
+            elif group == 2:
+                tokens.append(Token(m[2], m[2], line, m.start(2) + 1))
+            elif group == 3:
+                raise LexError(f"illegal character {m[3]!r}", line, m.start(3) + 1)
+    end = Token("eof", "", line, len(chars) + 1)
     if not tokens:
-        raise LexError("empty input", line, col)
-    tokens.append(Token("eof", "", line, col))
+        raise LexError("empty input", end.line, end.col)
+    tokens.append(end)
     return tokens
 
 
-def _is_single_token(label: str) -> bool:
-    try:
-        tokens = tokenize(label)
-    except LexError:
-        return False
-    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text == label
+def parse_marking(text: str) -> Marking:
+    """Inverse of :func:`~wfregions.wfnet.marking_text`: labels joined by
+    commas.  Raises ValueError unless every part is one label."""
+    labels = [part.strip() for part in text.split(",")]
+    for label in labels:
+        if not _LABEL.fullmatch(label):
+            raise ValueError(f"malformed marking text {text!r}: {label!r} is not a label")
+    return frozenset(labels)
 
 
-# ── parser ──────────────────────────────────────────────────────────────────
+# ── reader ──────────────────────────────────────────────────────────────────
 
-
-#: Deepest bracket nesting the parser accepts.  The parser and the C-tree
-#: renderers recurse at every level (the inclusion test at every parallel
-#: one), so the bound keeps them clear of Python's recursion limit.
+#: Deepest bracket nesting that ``parse`` accepts.  Parsing does not recurse;
+#: the bound keeps the C-tree walks that still recurse per parallel level (the
+#: inclusion test, marking generation, ``ctree_dot``) clear of Python's limit.
 MAX_NESTING = 64
 
-
-class Parser:
-    """Recursive-descent parser for the ECWS grammar."""
-
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0  # brackets open at the current position
-
-    def _peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def _expect(self, kind: str, what: str) -> Token:
-        token = self._peek()
-        if token.kind != kind:
-            self._error(f"expected {what}, got {token.text or 'end of input'!r}", token)
-        return self._advance()
-
-    def _error(self, message: str, token: Token | None = None) -> None:
-        token = token or self._peek()
-        raise ParseError(message, token.line, token.col)
-
-    def parse_net(self) -> SeqBlock:
-        net = self.parse_pnet()
-        token = self._peek()
-        if token.kind != "eof":
-            self._error(f"unexpected {token.text!r} after the net", token)
-        return net
-
-    def parse_pnet(self) -> SeqBlock:
-        """A place-bordered sequence: the body of a net, branch, or loop."""
-        return self._sequence(self._place())
-
-    def parse_tnet(self, closer: str) -> SeqBlock:
-        """A transition-bordered sequence: a choice branch or a loop's back part.
-
-        Between its border transitions sits a sequence that may start with a
-        parallel or loop block, since a transition precedes it.
-        """
-        first = self._transition()
-        if self._peek().kind == closer:
-            return SeqBlock((first,))
-        body = self._sequence(self._place_like())
-        last = self._transition()
-        return SeqBlock((first, *body.children, last))
-
-    def _sequence(self, first: Element) -> SeqBlock:
-        """The rest of a sequence whose first place-like element is parsed."""
-        children: list[Element] = [first]
-        while True:
-            token = self._peek()
-            if token.kind == "[":
-                children.append(self._xor())
-                children.append(self._place())
-            elif token.kind == "ident":
-                # An ident continues this sequence only when a place or block
-                # follows it; otherwise it is the enclosing branch's border
-                # transition and belongs to the caller.
-                if self.tokens[self.pos + 1].kind not in ("ident", "(", "{"):
-                    return SeqBlock(tuple(children))
-                children.append(Transition(self._advance().text))
-                children.append(self._place_like())
-            elif token.kind in "({":
-                self._error(
-                    "a parallel or loop block must be preceded by a transition", token
-                )
-            else:
-                return SeqBlock(tuple(children))
-
-    def _place_like(self) -> Element:
-        """A place, parallel block or loop block: what may follow a transition."""
-        kind = self._peek().kind
-        if kind == "(":
-            return self._and()
-        if kind == "{":
-            return self._loop()
-        return self._place()
-
-    def _place(self) -> Place:
-        return Place(self._expect("ident", "a place label").text)
-
-    def _transition(self) -> Transition:
-        return Transition(self._expect("ident", "a transition label").text)
-
-    def _and(self) -> AndBlock:
-        branches = [self._group("(", ")", self.parse_pnet)]
-        while self._peek().kind == "(":
-            branches.append(self._group("(", ")", self.parse_pnet))
-        if len(branches) < 2:
-            self._error("a parallel block needs at least 2 branches")
-        return AndBlock(tuple(branches))
-
-    def _xor(self) -> XorBlock:
-        branches = [self._group("[", "]", lambda: self.parse_tnet("]"))]
-        while self._peek().kind == "[":
-            branches.append(self._group("[", "]", lambda: self.parse_tnet("]")))
-        if len(branches) < 2:
-            self._error("a choice block needs at least 2 branches")
-        return XorBlock(tuple(branches))
-
-    def _loop(self) -> LoopBlock:
-        forward = self._group("{", "}", self.parse_pnet)
-        back = self._group(
-            "{", "}", lambda: self.parse_tnet("}"), "the '{' opening the loop's back part"
-        )
-        return LoopBlock(forward, back)
-
-    def _group(
-        self, opener: str, closer: str, inner, what: str | None = None
-    ) -> SeqBlock:
-        token = self._expect(opener, what or f"'{opener}'")
-        if self.depth == MAX_NESTING:
-            self._error(f"bracket nesting deeper than {MAX_NESTING} levels", token)
-        self.depth += 1
-        body = inner()
-        self._expect(closer, f"'{closer}'")
-        self.depth -= 1
-        return body
+#: Each kind of block: its brackets, its name in messages, and the border
+#: kind of its first sequence and of the others (a loop's forward part is
+#: place-bordered, its back part transition-bordered).  The reader, the
+#: shape check and the printer all read this one table.
+_BLOCKS: dict[type, tuple[str, str, tuple[type, type]]] = {
+    AndBlock: ("()", "parallel", (Place, Place)),
+    XorBlock: ("[]", "choice", (Transition, Transition)),
+    LoopBlock: ("{}", "loop", (Place, Transition)),
+}
+_OPENS = {brackets[0]: kind for kind, (brackets, _, _) in _BLOCKS.items()}
+_CLOSER = {brackets[0]: brackets[1] for brackets, _, _ in _BLOCKS.values()}
 
 
-def parse(text: str) -> SeqBlock:
-    """Parse ECWS text into a validated block tree."""
-    tree = Parser(tokenize(text)).parse_net()
-    # every label came from the lexer, so it is a single token already
-    _validate(tree, relex=False)
+def parse(text: str) -> BlockTree:
+    """Parse ECWS text into a validated block tree.
+
+    Every ParseError it raises carries the line and column of its token.
+    """
+    at: dict[int, Token] = {}
+    tree = _read(tokenize(text), at)
+    _validate(tree, at)
     return tree
+
+
+def _read(tokens: list[Token], at: dict[int, Token]) -> BlockTree:
+    """Pair the brackets of ``tokens`` into a tree, leaving its shape unchecked.
+
+    A label is a place or a transition by its slot in its sequence, and a run
+    of groups in the same brackets is one block.  ``at`` receives the token
+    of every label, block and bracketed sequence, for the shape check's errors.
+    """
+    # the enclosing sequences: children, first slot (1 if a transition's),
+    # opening token, and the run of groups that the open group belongs to
+    stack: list[tuple[list, int, Token | None, list]] = []
+    children: list[Element] = []
+    first, opener = 0, None
+    run: list | None = None  # a run of groups ending the sequence: token, groups
+    for tok in tokens:
+        kind = tok.kind
+        if run is not None and kind != run[0].kind:
+            children.append(_fold(run, at))
+            run = None
+        if kind == "ident":
+            label = (Transition if (len(children) + first) % 2 else Place)(tok.text)
+            at[id(label)] = tok
+            children.append(label)
+        elif kind in _OPENS:
+            if len(stack) == MAX_NESTING:
+                raise ParseError(
+                    f"bracket nesting deeper than {MAX_NESTING} levels", tok.line, tok.col
+                )
+            run = run or [tok]
+            stack.append((children, first, opener, run))
+            first = _BLOCKS[_OPENS[kind]][2][len(run) > 1] is Transition
+            children, opener, run = [], tok, None
+        elif stack and kind == _CLOSER[opener.kind]:
+            seq = SeqBlock(tuple(children))
+            at[id(seq)] = opener
+            children, first, opener, run = stack.pop()
+            run.append(seq)
+        elif stack or kind != "eof":
+            got = repr(tok.text) if tok.text else "end of input"
+            message = (f"expected {_CLOSER[opener.kind]!r}, got {got}" if stack
+                       else f"unexpected {got} after the net")
+            raise ParseError(message, tok.line, tok.col)
+    return SeqBlock(tuple(children))
+
+
+def _fold(run: list, at: dict[int, Token]) -> Element:
+    """The block of a run of groups: its first token, then its sequences."""
+    token, *seqs = run
+    kind = _OPENS[token.kind]
+    if kind is LoopBlock and len(seqs) != 2:
+        raise ParseError("a loop block needs a forward and a back part", token.line, token.col)
+    block = LoopBlock(*seqs) if kind is LoopBlock else kind(tuple(seqs))
+    at[id(block)] = token
+    return block
 
 
 # ── validation ──────────────────────────────────────────────────────────────
@@ -373,66 +306,74 @@ def parse(text: str) -> SeqBlock:
 def validate_tree(tree: BlockTree) -> None:
     """Check every structural invariant of a block tree.
 
-    Raises ParseError for shape violations and DuplicateLabelError when any
-    label (place or transition) occurs twice.  Also rejects labels that the
-    lexer could not reproduce as a single token, which would break the
-    parse/format round trip.
+    Raises ParseError for shape violations and for a label that does not
+    scan as one label (it would break the parse/format round trip), and
+    DuplicateLabelError when any label (place or transition) occurs twice.
     """
-    _validate(tree, relex=True)
+    _validate(tree, {})
 
 
-def _validate(tree: BlockTree, relex: bool) -> None:
-    _check_border(tree, Place)
-    labels: list[str] = []
-    # the walk reaches a sequence only after its parent checked its border
-    for _, seq in walk(tree):
-        _validate_seq(seq)
-        labels += (el.label for el in seq.children if isinstance(el, (Place, Transition)))
+def _validate(tree: BlockTree, at: dict[int, Token]) -> None:
+    """The one shape check of :func:`parse` and :func:`validate_tree`.
+
+    A sequence alternates place-like and transition-like elements and has a
+    label of its border kind at each end; a block follows a label, and a
+    parallel or choice block has 2+ branches.  Errors are reported at the
+    token ``at`` holds for the offending element, if it holds one.
+    """
+    labels: list[Place | Transition] = []
+    # each sequence with its border kind and the closing bracket after it
+    stack: list[tuple[SeqBlock, type, str | None]] = [(tree, Place, None)]
+    while stack:
+        seq, border, closer = stack.pop()
+        children = seq.children
+        if not children:
+            raise _error("empty sequence", seq, at)
+        place_slot = border is Place
+        for i, child in enumerate(children):
+            leaf = isinstance(child, (Place, Transition))
+            fits = isinstance(child, _PLACE_LIKE if place_slot else _TRANS_LIKE)
+            # a block follows a label; the next element's check covers its right
+            if not fits or not (leaf or i and isinstance(children[i - 1], (Place, Transition))):
+                if i == 0:
+                    kind = "place" if border is Place else "transition"
+                    raise _error(f"expected a {kind} label, got {_describe(child)}", child, at)
+                need = "transition" if isinstance(child, _PLACE_LIKE) else "place"
+                raise _error(f"{_describe(child)} must be preceded by a {need}", child, at)
+            place_slot = not place_slot
+            if leaf:
+                labels.append(child)
+                continue
+            (_, shut), name, borders = _BLOCKS[type(child)]
+            seqs = branches_of(child)
+            if len(seqs) < 2:
+                raise _error(f"a {name} block needs at least 2 branches", child, at)
+            stack += [(s, borders[b > 0], shut) for b, s in enumerate(seqs)]
+        if not isinstance(children[-1], border):
+            where = f"before {closer!r}" if closer else "after the net"
+            raise _error(f"unexpected {_describe(children[-1])} {where}", children[-1], at)
     seen: set[str] = set()
-    for label in labels:
-        if label in seen:
-            raise DuplicateLabelError(f"label {label!r} occurs more than once")
-        if relex and not _is_single_token(label):
-            raise ParseError(f"label {label!r} does not survive relexing")
-        seen.add(label)
+    for el in labels:
+        if el.label in seen:
+            message = f"label {el.label!r} occurs more than once"
+            raise _error(message, el, at, DuplicateLabelError)
+        if not _LABEL.fullmatch(el.label):
+            raise _error(f"label {el.label!r} does not scan as one label", el, at)
+        seen.add(el.label)
 
 
-def _check_border(seq: SeqBlock, border: type) -> None:
-    children = seq.children
-    if not children:
-        raise ParseError("empty sequence")
-    if not isinstance(children[0], border) or not isinstance(children[-1], border):
-        kind = "place" if border is Place else "transition"
-        raise ParseError(f"sequence must start and end with a {kind}")
+def _error(
+    message: str, el: object, at: dict[int, Token], cls: type[ParseError] = ParseError
+) -> ParseError:
+    token = at.get(id(el))
+    return cls(message) if token is None else cls(message, token.line, token.col)
 
 
-def _validate_seq(seq: SeqBlock) -> None:
-    """Alternation in one sequence whose border is checked, plus its blocks:
-    their neighbours, branch counts and the borders of their sequences."""
-    children = seq.children
-    offset = 0 if isinstance(children[0], Place) else 1
-    for i, child in enumerate(children):
-        expected = _PLACE_LIKE if (i + offset) % 2 == 0 else _TRANS_LIKE
-        if not isinstance(child, expected):
-            raise ParseError("sequence does not alternate places and transitions")
-        if isinstance(child, (Place, Transition)):
-            continue
-        left, right = children[i - 1], children[i + 1]
-        if isinstance(child, XorBlock):
-            if not (isinstance(left, Place) and isinstance(right, Place)):
-                raise ParseError("a choice block must sit between two places")
-        elif not (isinstance(left, Transition) and isinstance(right, Transition)):
-            raise ParseError("a parallel or loop block must sit between two transitions")
-        if isinstance(child, LoopBlock):
-            borders: tuple[type, ...] = (Place, Transition)
-        else:
-            if len(child.branches) < 2:
-                kind = "parallel" if isinstance(child, AndBlock) else "choice"
-                raise ParseError(f"a {kind} block needs at least 2 branches")
-            border = Place if isinstance(child, AndBlock) else Transition
-            borders = (border,) * len(child.branches)
-        for branch, border in zip(branches_of(child), borders):
-            _check_border(branch, border)
+def _describe(el: object) -> str:
+    if isinstance(el, (Place, Transition)):
+        return repr(el.label)
+    entry = _BLOCKS.get(type(el))
+    return f"{entry[1]} block" if entry else repr(el)
 
 
 def _leaves(tree: BlockTree) -> Iterator[Place | Transition]:
@@ -460,40 +401,36 @@ def transition_labels(tree: BlockTree) -> frozenset[str]:
 
 # ── canonical text ──────────────────────────────────────────────────────────
 
-_GROUP = {AndBlock: "()", XorBlock: "[]", LoopBlock: "{}"}
-
 
 def format_tree(tree: BlockTree) -> str:
     """Render the canonical text of a block tree.
 
     The output contains no whitespace; a comma is inserted only where two
-    adjacent labels would otherwise fuse into one token.
+    adjacent labels would otherwise scan as one.
     """
-    parts: list[str] = []
-    _emit(tree, parts)
     out: list[str] = []
-    for part in parts:
-        if (
-            out
-            and out[-1][-1] not in _BRACKETS
-            and part not in _BRACKETS
-            and not (out[-1][-1].isdigit() and part[0].isalpha())
-        ):
-            out.append(",")
-        out.append(part)
+    last = ""  # the label just written, or "" after a bracket
+    stack: list[Iterator] = [iter(tree.children)]
+    while stack:
+        for item in stack[-1]:
+            if isinstance(item, str):  # a bracket
+                out.append(item)
+                last = ""
+            elif isinstance(item, SeqBlock):
+                stack.append(iter(item.children))
+                break
+            elif isinstance(item, (Place, Transition)):
+                if last and _LABEL.match(last + item.label[0]).end() > len(last):
+                    out.append(",")
+                out.append(item.label)
+                last = item.label
+            else:
+                (opener, closer), _, _ = _BLOCKS[type(item)]
+                stack.append(iter([x for s in branches_of(item) for x in (opener, s, closer)]))
+                break
+        else:
+            stack.pop()
     return "".join(out)
-
-
-def _emit(seq: SeqBlock, parts: list[str]) -> None:
-    for child in seq.children:
-        if isinstance(child, (Place, Transition)):
-            parts.append(child.label)
-            continue
-        opener, closer = _GROUP[type(child)]
-        for branch in branches_of(child):
-            parts.append(opener)
-            _emit(branch, parts)
-            parts.append(closer)
 
 
 # ── net construction ────────────────────────────────────────────────────────

@@ -44,17 +44,6 @@ def marking_text(marking: Marking) -> str:
     return ",".join(sorted(marking))
 
 
-def parse_marking(text: str) -> Marking:
-    """Inverse of :func:`marking_text`; raises ValueError on malformed input."""
-    labels = [part.strip() for part in text.split(",")]
-    if not labels or any(not label for label in labels):
-        raise ValueError(f"malformed marking text: {text!r}")
-    for label in labels:
-        if not label.replace("_", "a").isalnum() or label[0].isdigit():
-            raise ValueError(f"not a valid label: {label!r}")
-    return frozenset(labels)
-
-
 @dataclass(frozen=True)
 class WfNet:
     """A workflow net with one source place and one sink place."""

@@ -119,6 +119,7 @@ def test_analyze_parse_error_names_file(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(bad), fx("nested"))
     assert code == 2
     assert "bad.ecws" in err and "unexpected 't1'" in err
+    assert f"{bad}:1:3:" in err
 
 
 @pytest.mark.parametrize("depth, code", [(64, 0), (65, 2)])

@@ -30,7 +30,7 @@ from wfregions import (
 )
 from wfregions.randomnets import mutate_transpose_places
 
-from conftest import load_fixture
+from conftest import deep_tree, load_fixture
 
 PARALLEL = "p1t1(p2t2p3)(p4t3p5)t4p6"
 BREAKOFF = frozenset("p1 p2 p3 p4 p6 p8 p9 p12".split())
@@ -171,6 +171,20 @@ def test_breakoff_set(nested):
 def test_breakoff_means_hitting_every_marking(nested):
     for m in markings_of(nested):
         assert m & BREAKOFF
+
+
+def test_deep_ctree_walks_need_no_recursion():
+    # 400 nested parallel blocks, one per third level: a walk that recursed
+    # once per block level ran past the default recursion limit
+    c = build_ctree(deep_tree(1200))
+    text = mgs_text(c)
+    assert text.count("(") == 400 and "({a1198,a1199,z,f1199,f1198},{d1197})" in text
+    # deleting all but z empties every d branch; keeping them keeps a marking
+    assert is_breakoff(c, places(c) - {"z"})
+    assert not is_breakoff(c, {p for p in places(c) if not p.startswith(("z", "d"))})
+    d = delete_places(c, {"z"})
+    assert places(d) == places(c) - {"z"}
+    assert mgs_text(d) == text.replace("a1199,z,", "a1199,")
 
 
 # ── marking-preserving embedding ─────────────────────────────────────────────

@@ -36,6 +36,7 @@ from wfregions.ecws import (
 )
 
 from conftest import deep_tree, load_fixture, nested_and
+from ecws_reference import reference_parse, reference_tokenize
 
 # The six showcase strings: a plain sequence, a fork-join in a sequence, a
 # one-shot choice, a nested fork-join, a loop, and a loop with a choice in
@@ -245,6 +246,107 @@ def test_mutated_tree_round_trip(seed):
     for _ in range(3):
         tree = mutate(tree, rng)
         assert parse(format_tree(tree)) == tree
+
+
+# ── against the reference reader ─────────────────────────────────────────────
+
+# Unicode letters and decimal digits scan as ASCII ones do; non-decimal
+# numerals such as ``²`` are left out, as the scanner reads them as letters
+# where the reference lexer did not (pinned below).
+LETTERS = ["p", "t", "x_", "é", "ß", "λ", "中", "_"]
+DIGITS = ["", "1", "20", "٣"]
+SEPARATORS = ["", " ", ",", "\n", "\t", "# note\n", "#)\n", " # end"]
+
+_label = st.tuples(
+    st.sampled_from(LETTERS), st.sampled_from(DIGITS), st.sampled_from(LETTERS + [""])
+).map("".join)
+_piece = st.one_of(_label, st.sampled_from([*"()[]{}", *SEPARATORS, "$"]))
+
+
+@st.composite
+def _tree_text(draw):
+    """A random net's text, relabelled, respaced and perhaps edited once."""
+    tree = random_tree(random.Random(draw(st.integers(0, 10**9))), 4, 10)
+    place, trans = draw(st.sampled_from([("p", "t"), ("é", "λ"), ("中", "ß_")]))
+    digits = draw(st.sampled_from(["0123456789", "٠١٢٣٤٥٦٧٨٩"]))
+    prefix = {"p": place, "t": trans}
+    tokens = []
+    for tok in reference_tokenize(format_tree(tree))[:-1]:
+        text = tok.text.translate(str.maketrans("0123456789", digits))
+        tokens.append(prefix[text[0]] + text[1:] if text[0] in prefix else text)
+    if tokens and draw(st.booleans()):
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["delete", "repeat", "replace", "insert"]))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "repeat":
+            tokens.insert(i, tokens[i])
+        elif edit == "replace":
+            tokens[i] = draw(_piece)
+        else:
+            tokens.insert(i, draw(_piece))
+    return "".join(tok + draw(st.sampled_from(SEPARATORS)) for tok in tokens)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ParseError as exc:
+        return exc
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_tree_text(), st.lists(_piece, max_size=40).map("".join)))
+def test_reader_matches_the_reference_parser(text):
+    got, want = _outcome(parse, text), _outcome(reference_parse, text)
+    if isinstance(got, ParseError):
+        assert type(got) is type(want)
+        assert got.line is not None and got.col is not None
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "text, position, fragment",
+    [
+        # accepted by the recursive-descent parser, then rejected with no
+        # position by the shape check behind it
+        ("p1 t1 (p2)(p3) [t2][t3] p4", (1, 16), "choice block must be preceded by a place"),
+        ("p1 t1 (p2)(p3)", (1, 7), "unexpected parallel block after the net"),
+        ("p1 t1 (p2 t2 (p3)(p4))(p5) t3 p6", (1, 14), "unexpected parallel block before ')'"),
+        ("p1 t1 p2 t2 p1", (1, 13), "occurs more than once"),
+        ("p1 t1 {p2}{t2}{t3} t4 p3", (1, 7), "forward and a back part"),
+        ("p1 t1 (p2 # open", (1, 17), "got end of input"),
+    ],
+)
+def test_every_parse_error_has_a_position(text, position, fragment):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == position
+    assert fragment in str(err.value)
+
+
+def test_end_of_input_is_after_a_trailing_comment():
+    # the reference lexer left the end-of-input column at the '#'
+    assert tokenize("p1 # note")[-1] == ("eof", "", 1, 10)
+    with pytest.raises(LexError) as err:
+        parse("  # note")
+    assert (err.value.line, err.value.col) == (1, 9)
+
+
+def test_non_decimal_numerals_scan_as_letters():
+    # ``re`` parts letters from digits by decimal digits only, where the
+    # reference lexer used str.isalpha and str.isdigit
+    assert [t.text for t in tokenize("²1 p½ Ⅻ p1²")][:-1] == ["²1", "p½", "Ⅻ", "p1", "²"]
+    tree = SeqBlock((Place("p1"), Transition("²"), Place("Ⅻ1"), Transition("t½"), Place("q")))
+    assert format_tree(tree) == "p1²,Ⅻ1t½,q"
+    assert parse(format_tree(tree)) == tree
+
+
+def test_validate_tree_rejects_labels_that_do_not_scan_as_one():
+    for label in ("p1a", "1p", "p 1", "p-1", ""):
+        with pytest.raises(ParseError, match="does not scan"):
+            validate_tree(SeqBlock((Place("p0"), Transition("t0"), Place(label))))
 
 
 # ── label queries ────────────────────────────────────────────────────────────

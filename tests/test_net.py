@@ -39,7 +39,7 @@ def test_marking_text_is_sorted_and_invertible():
     assert parse_marking(" p4 , p2 ") == m
 
 
-@pytest.mark.parametrize("bad", ["", "p2,,", ",p2", "p 2", "2p", "p-2"])
+@pytest.mark.parametrize("bad", ["", "p2,,", ",p2", "p 2", "2p", "p-2", "p1a"])
 def test_parse_marking_rejects_malformed_text(bad):
     with pytest.raises(ValueError):
         parse_marking(bad)
