@@ -15,11 +15,17 @@ marking?), break-off sets (place sets hitting every marking), and one exact
 inclusion test (:func:`mpe_exists`) that decides whether every marking one
 tree generates is also generable by another.  Membership of one marking
 (:func:`generates`) is that test on the marking's own tree.
+
+The new net's tree can be built like the old one's, through an intern table
+(:func:`build_ctree`), so the two share every subtree they have in common,
+and the checks on the pair stop where both sides are one object: their cost
+follows the change, not the net.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass, field
@@ -94,6 +100,16 @@ class CNode:
                     stack.append((block.branches[i], (*route, (block, i))))
         return index
 
+    @cached_property
+    def block_index(self) -> dict[str, "CBlock"]:
+        """Every place of a live block's factors mapped to the first live
+        block holding it, so a lookup costs one probe, not one per block."""
+        index: dict[str, CBlock] = {}
+        for block in self.live_blocks:
+            for p in block.factor_index:
+                index.setdefault(p, block)
+        return index
+
 
 @dataclass(frozen=True)
 class CBlock:
@@ -120,6 +136,16 @@ class CBlock:
                 out.append(node)
         return tuple(out)
 
+    @cached_property
+    def factor_index(self) -> dict[str, int]:
+        """Every place of the factors mapped to the index of the first
+        factor holding it."""
+        index: dict[str, int] = {}
+        for j, factor in enumerate(self.factors):
+            for p in factor.place_set:
+                index.setdefault(p, j)
+        return index
+
 
 CTree = CNode
 
@@ -131,14 +157,27 @@ Route = tuple[tuple[CBlock, int], ...]
 # ── construction ────────────────────────────────────────────────────────────
 
 
-def build_ctree(tree: BlockTree) -> CTree:
+def build_ctree(tree: BlockTree, like: CTree | None = None) -> CTree:
     """Abstract a block tree into its concurrency tree.
 
     Places of sequences, choice branches, and both loop parts all land in the
     same node; each parallel block becomes a CBlock element with one branch
     node per parallel branch.  One pass over an explicit stack builds every
     node after its children, so no nesting depth exhausts the call stack.
+
+    Given ``like`` (say, the old net's tree when building the new one's),
+    every node and block goes through one intern table that starts with all
+    of the subtrees of ``like``, so every subtree the two trees have in
+    common is one shared object, and checks on the pair can stop where
+    ``x is y``.  The table lives for this call only.  Without ``like``
+    nothing is interned: the places of a net are distinct, so no two
+    subtrees of its tree are equal.
     """
+    if like is None:
+        node, block = CNode, CBlock
+    else:
+        table = _Interner(like)
+        node, block = table.node, table.block
     root: list[str | CBlock] = []
     # a sequence's unread children, or a parallel block's branch element
     # lists once all are read; each with the list that receives its yield
@@ -146,21 +185,62 @@ def build_ctree(tree: BlockTree) -> CTree:
     while stack:
         todo, out = stack.pop()
         if isinstance(todo, list):
-            out.append(CBlock(tuple(CNode(tuple(branch)) for branch in todo)))
+            out.append(block(tuple([node(tuple(branch)) for branch in todo])))
             continue
         for child in todo:
-            if isinstance(child, Place):
+            kind = child.__class__
+            if kind is Place:
                 out.append(child.label)
-            elif not isinstance(child, Transition):
+            elif kind is not Transition:
                 stack.append((todo, out))  # resume the sequence after the block
-                if isinstance(child, AndBlock):
+                if kind is AndBlock:
                     outs: list[list] = [[] for _ in child.branches]
                     stack.append((outs, out))
                     stack += [(iter(b.children), o) for b, o in zip(child.branches, outs)][::-1]
                 else:
                     stack += [(iter(b.children), out) for b in reversed(branches_of(child))]
                 break
-    return CNode(tuple(root))
+    return node(tuple(root))
+
+
+class _Interner:
+    """Hash-consing for C-subtrees (Filliâtre & Conchon 2006).
+
+    A node is keyed by its labels and the identities of its blocks, a block
+    by the identities of its branches, in two tables; the children are
+    interned first, so equal keys mean equal subtrees, and no key hashes a
+    subtree.  The table holds every object whose id it keys on, so no id is
+    reused while it lives.  It starts with every subtree of ``like``.
+    """
+
+    def __init__(self, like: CTree) -> None:
+        self.nodes: dict[tuple[str | int, ...], CNode] = {}
+        self.blocks: dict[tuple[int, ...], CBlock] = {}
+        stack = [like]
+        while stack:
+            node = stack.pop()
+            self.nodes.setdefault(_node_key(node.elements), node)
+            for block in node.blocks:
+                self.blocks.setdefault(tuple(map(id, block.branches)), block)
+                stack += block.branches
+
+    def node(self, elements: tuple[str | CBlock, ...]) -> CNode:
+        key = _node_key(elements)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = CNode(elements)
+        return node
+
+    def block(self, branches: tuple[CNode, ...]) -> CBlock:
+        key = tuple(map(id, branches))
+        block = self.blocks.get(key)
+        if block is None:
+            block = self.blocks[key] = CBlock(branches)
+        return block
+
+
+def _node_key(elements: tuple[str | CBlock, ...]) -> tuple[str | int, ...]:
+    return tuple([el if el.__class__ is str else id(el) for el in elements])
 
 
 def places(c: CTree) -> frozenset[str]:
@@ -215,19 +295,23 @@ def markings_of(c: CTree) -> frozenset[Marking]:
     complete sub-marking from each of its branches.  A node with no pickable
     element generates nothing at all.
     """
-    out: set[Marking] = set()
-    for el in c.elements:
-        if isinstance(el, str):
-            out.add(frozenset((el,)))
-        else:
-            combos: set[frozenset[str]] = {frozenset()}
-            for branch in el.branches:
-                sub = markings_of(branch)
-                combos = {m | s for m in combos for s in sub}
-                if not combos:
-                    break
-            out.update(combos)
-    return frozenset(out)
+
+    def generate(node: CNode) -> Generator[CNode, frozenset[Marking], frozenset[Marking]]:
+        out: set[Marking] = set()
+        for el in node.elements:
+            if isinstance(el, str):
+                out.add(frozenset((el,)))
+            else:
+                combos: set[frozenset[str]] = {frozenset()}
+                for branch in el.branches:
+                    sub = yield branch
+                    combos = {m | s for m in combos for s in sub}
+                    if not combos:
+                        break
+                out.update(combos)
+        return frozenset(out)
+
+    return _drive(generate, c)
 
 
 def sample_marking(c: CTree, rng: random.Random | None = None) -> Marking:
@@ -236,17 +320,17 @@ def sample_marking(c: CTree, rng: random.Random | None = None) -> Marking:
     if is_dysfunctional(c):
         raise ValueError("the tree generates no markings")
 
-    def draw(node: CNode) -> frozenset[str]:
+    def draw(node: CNode) -> Generator[CNode, Marking, Marking]:
         viable = [el for el in node.elements if isinstance(el, str) or el.generable]
         el = rng.choice(viable)
         if isinstance(el, str):
             return frozenset((el,))
         picked: frozenset[str] = frozenset()
         for branch in el.branches:
-            picked |= draw(branch)
+            picked |= yield branch
         return picked
 
-    return draw(c)
+    return _drive(draw, c)
 
 
 def generates(c: CTree, m: Marking) -> bool:
@@ -259,19 +343,29 @@ def generates(c: CTree, m: Marking) -> bool:
 
 
 def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
-    """Remove the given places from every node; the shape stays intact."""
+    """Remove the given places from every node; the shape stays intact.
+
+    A node or block with nothing deleted below it is returned as the same
+    object, so only the nodes on the paths to deleted places are rebuilt,
+    and the deletions of two trees that share subtrees share them too.
+    """
 
     def rebuild(node: CNode) -> Generator[CNode, CNode, CNode]:
         elements: list[str | CBlock] = []
+        changed = False
         for el in node.elements:
             if not isinstance(el, str):
                 branches = []
                 for branch in el.branches:
                     branches.append((yield branch))
-                elements.append(CBlock(tuple(branches)))
-            elif el not in labels:
+                if not all(map(operator.is_, branches, el.branches)):
+                    el, changed = CBlock(tuple(branches)), True
                 elements.append(el)
-        return CNode(tuple(elements))
+            elif el in labels:
+                changed = True
+            else:
+                elements.append(el)
+        return CNode(tuple(elements)) if changed else node
 
     return _drive(rebuild, c)
 
@@ -325,10 +419,13 @@ def _drive(step: Callable[[CNode], Generator], root: CNode) -> Any:
 class EmbeddingMemo:
     """Node-pair verdicts shared by several inclusion checks.
 
-    :func:`gcs` keeps sibling branches as the original objects, so checks on
-    the gcs trees of one pair of nets share most node pairs.  Keys are node
-    identities, so the memo holds every tree it has checked (a freed node's
-    id could be reused); drop it when the checks are done.
+    :func:`gcs` keeps sibling branches as the original objects, and two
+    trees built by :func:`build_ctree` with ``like`` share every subtree they
+    have in common, so checks on the gcs trees of one pair of nets meet the
+    same node pairs again and again; a pair of one shared node with itself
+    is decided by identity and never stored.  Keys are node identities, so
+    the memo holds every tree it has checked (a freed node's id could be
+    reused); drop it when the checks are done.
     """
 
     def __init__(self) -> None:
@@ -364,16 +461,20 @@ def _includes(
     factors) is checked on its own.  A share that leaves some marking empty
     fails, as no marking of ``y`` holds another.  Whole nodes are memoised.
     """
-    key = (id(x), id(y))
-    ok = verdicts.get(key) if cut is None else None
-    if ok is None:
-        ok = all(_place_in(p, y) for p in x.own_places - y.own_places)
-        for b in x.live_blocks:
-            views = [(f, None if cut is None or f.place_set <= cut else f.place_set & cut)
-                     for f in b.factors if cut is None or not f.place_set.isdisjoint(cut)]
-            ok = ok and _product_in(views, y, verdicts)
-        if cut is None:
-            verdicts[key] = ok
+    if cut is None:
+        if x is y:  # a tree generates its own markings
+            return True
+        key = (id(x), id(y))
+        ok = verdicts.get(key)
+        if ok is not None:
+            return ok
+    ok = all(_place_in(p, y) for p in x.own_places - y.own_places)
+    for b in x.live_blocks:
+        views = [(f, None if cut is None or f.place_set <= cut else f.place_set & cut)
+                 for f in b.factors if cut is None or not f.place_set.isdisjoint(cut)]
+        ok = ok and _product_in(views, y, verdicts)
+    if cut is None:
+        verdicts[key] = ok
     return ok
 
 
@@ -394,18 +495,20 @@ def _product_in(
         return any(not b.factors for b in y.live_blocks)
     x, cut = views[0]
     target = _block_holding(next(iter(cut or x.place_set)), y)
-    factors = target.factors if target else ()
+    if target is None:
+        return False
+    factors = target.factors
     if len(factors) == 1:
         return _product_in(views, factors[0], verdicts)
     shares: list[list] = [[] for _ in factors]
     for x, cut in views:
-        j = _locate(next(iter(cut or x.place_set)), factors)
+        j = _locate(next(iter(cut or x.place_set)), target)
         if cut is None and j is not None and x.place_set <= factors[j].place_set:
             shares[j].append((x, None))
             continue
         parts: dict[int | None, set[str]] = {}
         for p in cut or x.place_set:
-            parts.setdefault(_locate(p, factors), set()).add(p)
+            parts.setdefault(_locate(p, target), set()).add(p)
         if None in parts:
             return False
         for j, part in parts.items():
@@ -424,15 +527,18 @@ def _place_in(p: str, y: CNode) -> bool:
 
 
 def _block_holding(p: str, y: CNode) -> CBlock | None:
-    """The block alternative of ``y`` that may hold ``p`` (a lone one may)."""
+    """The block alternative of ``y`` that may hold ``p`` (a lone one may):
+    the first live block with a factor holding ``p``, read from the node's
+    index, so a node with many blocks costs one probe per query."""
     blocks = y.live_blocks
     if len(blocks) == 1:
         return blocks[0]
-    return next((b for b in blocks if _locate(p, b.factors) is not None), None)
+    return y.block_index.get(p)
 
 
-def _locate(p: str, factors: tuple[CNode, ...]) -> int | None:
-    return next((j for j, f in enumerate(factors) if p in f.place_set), None)
+def _locate(p: str, block: CBlock) -> int | None:
+    """The index of the first factor of ``block`` holding ``p``."""
+    return block.factor_index.get(p)
 
 
 # ── text and DOT rendering ──────────────────────────────────────────────────
@@ -461,7 +567,7 @@ def ctree_dot(c: CTree) -> str:
     lines = ["digraph ctree {", "  rankdir=TB;"]
     counter = itertools.count(1)
 
-    def emit_node(node: CNode) -> str:
+    def emit_node(node: CNode) -> Generator[CNode, str, str]:
         name = f"n{next(counter)}"
         label = ",".join(el for el in node.elements if isinstance(el, str)) or "∅"
         lines.append(f'  {name} [shape=box, label="{label}"];')
@@ -470,9 +576,10 @@ def ctree_dot(c: CTree) -> str:
             lines.append(f'  {block_name} [shape=square, label=""];')
             lines.append(f"  {name} -> {block_name};")
             for branch in block.branches:
-                lines.append(f"  {block_name} -> {emit_node(branch)};")
+                branch_name = yield branch
+                lines.append(f"  {block_name} -> {branch_name};")
         return name
 
-    emit_node(c)
+    _drive(emit_node, c)
     lines.append("}")
     return "\n".join(lines)

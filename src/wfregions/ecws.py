@@ -217,8 +217,9 @@ def parse_marking(text: str) -> Marking:
 # ── reader ──────────────────────────────────────────────────────────────────
 
 #: Deepest bracket nesting that ``parse`` accepts.  Parsing does not recurse;
-#: the bound keeps the C-tree walks that still recurse per parallel level (the
-#: inclusion test, marking generation, ``ctree_dot``) clear of Python's limit.
+#: the bound keeps the one C-tree walk that still recurses per parallel level,
+#: a cold inclusion check (``ctree._includes``/``_product_in``), clear of
+#: Python's limit.
 MAX_NESTING = 64
 
 #: Each kind of block: its brackets, its name in messages, and the border

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .ctree import CTree, EmbeddingMemo, build_ctree, delete_places, gcs, is_breakoff
-from .ctree import mpe_exists, places
+from .ctree import CTree, EmbeddingMemo, Route, build_ctree, delete_places, gcs
+from .ctree import is_breakoff, mpe_exists, places
 from .ecws import BlockTree
 from .wfnet import Marking, MemberClass
 
@@ -58,9 +58,13 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
     concurrent in both nets are compared through their concurrent-submarking
     trees — failed marking inclusion means weak reformed concurrency, and weak
     plus a break-off of the places lost from (or new in) the concurrent
-    surroundings means strong.  A place's gcs depends only on the node
-    holding it, so the reformed verdict is computed once per pair of old and
-    new node, and all those checks share one inclusion memo.
+    surroundings means strong.  A place's gcs depends only on its route,
+    so the reformed verdict is computed once per pair of old and new node,
+    and all those checks share one inclusion memo.  Where the two routes
+    pass through the same block objects at the same branch indices (an
+    unchanged region of trees built with ``build_ctree(new, like=old)``),
+    the two gcs trees are equal and the place is not reformed: no gcs is
+    built and nothing is checked.
     """
     r, lc, ac, wrc, src = set(), set(), set(), set(), set()
     routes_new = c2.place_index
@@ -79,13 +83,23 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
             key = (id(route), id(route2))
             verdict = verdicts.get(key)
             if verdict is None:
-                verdict = verdicts[key] = _reformed(p, c, c2, memo)
+                if _same_route(route, route2):
+                    verdict = verdicts[key] = (False, False)
+                else:
+                    verdict = verdicts[key] = _reformed(p, c, c2, memo)
             weak, strong = verdict
             if weak:
                 wrc.add(p)
             if strong:
                 src.add(p)
     return ChangeSets(*map(frozenset, (r, lc, ac, wrc, src)))
+
+
+def _same_route(route: Route, route2: Route) -> bool:
+    """Do both routes take the same branch of the same block objects?"""
+    return len(route) == len(route2) and all(
+        b is b2 and i == i2 for (b, i), (b2, i2) in zip(route, route2)
+    )
 
 
 def _reformed(p: str, c: CTree, c2: CTree, memo: EmbeddingMemo) -> tuple[bool, bool]:
@@ -115,15 +129,22 @@ def pscr_exists(
 ) -> bool:
     """Decide whether the perfect members hit every non-migratable marking:
     trivially with no overestimated places, else exactly when every old
-    marking avoiding them is a new one (inclusion after deleting them)."""
+    marking avoiding them is a new one (inclusion after deleting them).
+    Deletion keeps untouched subtrees as they are, so on trees that share
+    their unchanged regions the check stops at each shared one."""
     if not over:
         return True
     return mpe_exists(delete_places(c, perf), delete_places(c2, perf))
 
 
 def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
-    """Full structural analysis of an old/new net pair."""
-    c, c2 = build_ctree(old), build_ctree(new)
+    """Full structural analysis of an old/new net pair.
+
+    The new tree is built like the old one, so every subtree the nets have in
+    common is one object and the checks stop there.
+    """
+    c = build_ctree(old)
+    c2 = build_ctree(new, like=c)
     cs = change_sets(c, c2)
     over, perf = member_sets(cs)
     region = scr(over, perf)

@@ -61,18 +61,19 @@ def prefixed(text: str, prefix: str) -> str:
     )
 
 
-def composed_pair(seed: int, chunks: int = 6):
+def composed_pair(seed: int, chunks: int = 6, changed: tuple[int, int] | None = None):
     """Chunks of two random segments in parallel, joined in series; the new
-    net mutates every segment once or twice, so many nodes change."""
+    net mutates every segment once or twice, so many nodes change.  Given
+    ``changed=(k, i)``, only segment ``i`` of chunk ``k`` is mutated."""
     rng = random.Random(seed)
     texts = ["w0", "w0"]
     for k in range(chunks):
         segments = [random_net_pair(rng, 5, 15) for _ in range(2)]
         for side in (0, 1):
-            branches = "".join(
-                "(" + prefixed(format_tree(pair[side]), f"s{k}{i}_") + ")"
-                for i, pair in enumerate(segments)
-            )
+            branches = ""
+            for i, pair in enumerate(segments):
+                version = side if changed in (None, (k, i)) else 0
+                branches += "(" + prefixed(format_tree(pair[version]), f"s{k}{i}_") + ")"
             texts[side] += f" a{k} {branches} b{k} w{k + 1}"
     return parse(texts[0]), parse(texts[1])
 

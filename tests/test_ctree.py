@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from wfregions import (
     CBlock,
     CNode,
+    EmbeddingMemo,
     UnknownPlaceError,
     build_ctree,
     build_net,
+    ctree_dot,
     delete_places,
     gcs,
     generates,
@@ -28,9 +30,10 @@ from wfregions import (
     reachable_markings,
     sample_marking,
 )
+from wfregions.ctree import _block_holding, _locate
 from wfregions.randomnets import mutate_transpose_places
 
-from conftest import deep_tree, load_fixture
+from conftest import composed_pair, deep_tree, load_fixture
 
 PARALLEL = "p1t1(p2t2p3)(p4t3p5)t4p6"
 BREAKOFF = frozenset("p1 p2 p3 p4 p6 p8 p9 p12".split())
@@ -185,6 +188,86 @@ def test_deep_ctree_walks_need_no_recursion():
     d = delete_places(c, {"z"})
     assert places(d) == places(c) - {"z"}
     assert mgs_text(d) == text.replace("a1199,z,", "a1199,")
+
+
+def test_generation_and_dot_need_no_recursion():
+    # 1,000 nested parallel blocks, past the default recursion limit
+    c = build_ctree(deep_tree(3000))
+    assert ctree_dot(c).count("shape=square") == 1000
+    sample_marking(c, random.Random(0))
+    # the whole tree generates about 6,000 markings of about 3 million places
+    # in all; keeping z and the d places leaves one marking through every level
+    keep = {p for p in places(c) if p == "z" or p.startswith("d")}
+    chain = delete_places(c, places(c) - keep)
+    assert markings_of(chain) == {frozenset(keep)}
+    assert sample_marking(chain, random.Random(0)) == keep
+
+
+# ── sharing and identity ─────────────────────────────────────────────────────
+
+
+def _nodes(c: CNode) -> list[CNode]:
+    out, stack = [], [c]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += [branch for block in node.blocks for branch in block.branches]
+    return out
+
+
+def test_building_like_a_tree_shares_its_unchanged_subtrees():
+    old, new = composed_pair(3, changed=(2, 0))
+    c = build_ctree(old)
+    assert build_ctree(old, like=c) is c
+    c2 = build_ctree(new, like=c)
+    assert c2 == build_ctree(new)
+    # one block per chunk: all but the third chunk's are the same objects
+    assert len(c.blocks) == 6
+    assert [k for k, (b, b2) in enumerate(zip(c.blocks, c2.blocks)) if b is not b2] == [2]
+
+
+def test_deletion_rebuilds_only_the_paths_to_deleted_places():
+    c = build_ctree(composed_pair(3)[0])
+    assert delete_places(c, set()) is c
+    assert delete_places(c, {"no_such_place"}) is c
+    before = {id(n) for n in _nodes(c)}
+    deep = sorted(p for p, route in c.place_index.items() if len(route) >= 2)
+    for labels in ({deep[0]}, {deep[0], deep[-1]}):
+        d = delete_places(c, labels)
+        assert places(d) == places(c) - labels
+        # a node is named by its route: the root and each node down to a label
+        on_paths = {
+            tuple((id(block), i) for block, i in c.place_index[p][:k])
+            for p in labels
+            for k in range(len(c.place_index[p]) + 1)
+        }
+        assert sum(id(n) not in before for n in _nodes(d)) == len(on_paths)
+
+
+def test_a_tree_includes_itself_without_a_memo_entry():
+    c = build_ctree(composed_pair(5)[0])
+    memo = EmbeddingMemo()
+    assert mpe_exists(c, c, memo)
+    assert memo.verdicts == {}
+    assert mpe_exists(c, build_ctree(composed_pair(5)[0]), memo)
+    assert memo.verdicts
+
+
+def test_block_lookup_index_equals_the_linear_scans():
+    # 30 parallel chunks in the root, plus every deeper node
+    c = build_ctree(composed_pair(11, chunks=30)[0])
+    assert len(c.live_blocks) == 30
+    for y in _nodes(c):
+        for p in sorted(y.place_set) + ["no_such_place"]:
+            scan = next(
+                (b for b in y.live_blocks if any(p in f.place_set for f in b.factors)), None
+            )
+            if len(y.live_blocks) == 1:
+                scan = y.live_blocks[0]
+            assert _block_holding(p, y) is scan
+            for b in y.live_blocks:
+                scan_j = next((j for j, f in enumerate(b.factors) if p in f.place_set), None)
+                assert _locate(p, b) == scan_j
 
 
 # ── marking-preserving embedding ─────────────────────────────────────────────

@@ -22,6 +22,7 @@ from wfregions import (
     check_pair_agreement,
     decide_marking,
     delete_places,
+    format_tree,
     gcs,
     is_breakoff,
     marking_text,
@@ -37,7 +38,7 @@ from wfregions import (
 )
 from wfregions.randomnets import mutate_transpose_places
 
-from conftest import composed_pair, deep_tree, fixture_pair
+from conftest import FIXTURES, composed_pair, deep_tree, fixture_pair
 
 
 def analyzed(old_name: str, new_name: str):
@@ -125,19 +126,27 @@ def reference_change_sets(c, c2) -> ChangeSets:
     return ChangeSets(*map(frozenset, (r, lc, ac, wrc, src)))
 
 
+def assert_change_sets_match(old, new) -> None:
+    """On separately built trees and on trees that share their common
+    subtrees, ``change_sets`` equals the reference on separate trees."""
+    c, c2 = build_ctree(old), build_ctree(new)
+    expected = reference_change_sets(c, c2)
+    assert change_sets(c, c2) == expected
+    shared = build_ctree(new, like=c)
+    assert shared == c2
+    assert change_sets(c, shared) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_change_sets_equal_the_reference(seed):
-    old, new = random_net_pair(random.Random(seed), 5, 30)
-    c, c2 = build_ctree(old), build_ctree(new)
-    assert change_sets(c, c2) == reference_change_sets(c, c2)
+    assert_change_sets_match(*random_net_pair(random.Random(seed), 5, 30))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_change_sets_equal_the_reference_on_composed_pairs(seed):
-    c, c2 = map(build_ctree, composed_pair(seed))
-    assert change_sets(c, c2) == reference_change_sets(c, c2)
+    assert_change_sets_match(*composed_pair(seed))
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,9 +154,7 @@ def test_change_sets_equal_the_reference_on_composed_pairs(seed):
 def test_change_sets_equal_the_reference_on_transpositions(seed):
     rng = random.Random(seed)
     old = random_tree(rng, 8, 40)
-    new = mutate_transpose_places(old, rng) or old
-    c, c2 = build_ctree(old), build_ctree(new)
-    assert change_sets(c, c2) == reference_change_sets(c, c2)
+    assert_change_sets_match(old, mutate_transpose_places(old, rng) or old)
 
 
 def test_gcs_runs_at_most_twice_per_node_pair(monkeypatch):
@@ -181,6 +188,34 @@ def test_gcs_runs_at_most_twice_per_node_pair(monkeypatch):
     monkeypatch.setattr(regions, "gcs", counting_gcs)
     assert change_sets(c, c2) == reference_change_sets(c, c2)
     assert 0 < len(calls) <= 2 * len(groups)
+
+
+def test_gcs_runs_only_where_the_trees_differ(monkeypatch):
+    # one mutated segment: every other chunk is one shared block, so only
+    # the places of the changed chunk get concurrent-submarking trees
+    old, new = composed_pair(3, changed=(2, 0))
+    c = build_ctree(old)
+    c2 = build_ctree(new, like=c)
+    calls = []
+
+    def counting_gcs(p, tree):
+        calls.append(p)
+        return gcs(p, tree)
+
+    monkeypatch.setattr(regions, "gcs", counting_gcs)
+    assert change_sets(c, c2) == reference_change_sets(c, c2)
+    assert calls
+    assert all(p.startswith(("s20_", "s21_")) for p in calls)
+
+
+def test_sharing_leaves_every_fixture_report_unchanged(monkeypatch):
+    names = sorted(path.stem for path in FIXTURES.glob("*.ecws"))
+    pairs = [fixture_pair(old, new) for old in names for new in names]
+    shared = [report_json(analyze(old, new)) for old, new in pairs]
+    # the same analysis on trees built apart, which share no subtree
+    monkeypatch.setattr(regions, "build_ctree", lambda tree, like=None: build_ctree(tree))
+    for (old, new), report in zip(pairs, shared):
+        assert report_json(analyze(old, new)) == report, (format_tree(old), format_tree(new))
 
 
 # ── SCR / PSCR on the fixture pairs ──────────────────────────────────────────
