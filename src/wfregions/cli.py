@@ -29,7 +29,7 @@ from .errors import (
     UnknownPlaceError,
     WfregionsError,
 )
-from .randomnets import check_pair_agreement, random_net_pair, shrink_pair
+from .randomnets import check_pair_agreement, oracle_mismatches, random_net_pair, shrink_pair
 from .regions import Decision, analyze, decide_marking, report_json
 from .sese import region_json, sese_region
 from .wfnet import (
@@ -101,15 +101,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     old, new = _load(args.old), _load(args.new)
     oracle = oracle_classify(build_net(old), build_net(new), cap=args.cap)
     report = analyze(old, new)
-    agreement = {
-        "scr": report.scr == oracle.semantic_scr,
-        "pscr_exists": report.pscr_exists == oracle.semantic_pscr_exists,
-        "pscr": (
-            report.pscr_exists == oracle.semantic_pscr_exists
-            and (not report.pscr_exists or report.pscr == oracle.semantic_pscr)
-        ),
-        "per_place": report.per_place == oracle.per_place,
-    }
+    agreement = {f: m is None for f, m in oracle_mismatches(report, oracle).items()}
     agreement["all"] = all(agreement.values())
     _emit(
         {

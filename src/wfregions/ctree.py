@@ -16,6 +16,9 @@ inclusion test (:func:`mpe_exists`) that decides whether every marking one
 tree generates is also generable by another.  Membership of one marking
 (:func:`generates`) is that test on the marking's own tree.
 
+No function here recurses: each walk keeps its pending work on an explicit
+stack, so no nesting depth exhausts Python's call stack.
+
 The new net's tree can be built like the old one's, through an intern table
 (:func:`build_ctree`), so the two share every subtree they have in common,
 and the checks on the pair stop where both sides are one object: their cost
@@ -321,7 +324,9 @@ def sample_marking(c: CTree, rng: random.Random | None = None) -> Marking:
         raise ValueError("the tree generates no markings")
 
     def draw(node: CNode) -> Generator[CNode, Marking, Marking]:
-        viable = [el for el in node.elements if isinstance(el, str) or el.generable]
+        viable = node.elements
+        if len(node.own_places) + len(node.live_blocks) != len(viable):  # dead blocks
+            viable = [el for el in viable if isinstance(el, str) or el.generable]
         el = rng.choice(viable)
         if isinstance(el, str):
             return frozenset((el,))
@@ -416,104 +421,72 @@ def _drive(step: Callable[[CNode], Generator], root: CNode) -> Any:
 # ── exact marking inclusion ─────────────────────────────────────────────────
 
 
-class EmbeddingMemo:
-    """Node-pair verdicts shared by several inclusion checks.
-
-    :func:`gcs` keeps sibling branches as the original objects, and two
-    trees built by :func:`build_ctree` with ``like`` share every subtree they
-    have in common, so checks on the gcs trees of one pair of nets meet the
-    same node pairs again and again; a pair of one shared node with itself
-    is decided by identity and never stored.  Keys are node identities, so
-    the memo holds every tree it has checked (a freed node's id could be
-    reused); drop it when the checks are done.
-    """
-
-    def __init__(self) -> None:
-        self.verdicts: dict[tuple[int, int], bool] = {}
-        self._held: list[tuple[CTree, CTree]] = []
-
-    def hold(self, c: CTree, c2: CTree) -> None:
-        self._held.append((c, c2))
-
-
-def mpe_exists(c: CTree, c2: CTree, memo: EmbeddingMemo | None = None) -> bool:
+def mpe_exists(c: CTree, c2: CTree) -> bool:
     """Can ``c2`` generate every marking that ``c`` generates?
 
     Exact, and decided without search, for trees with unique labels where the
     empty marking is never one alternative among others (every tree built
     from a net, and its gcs trees and deletions): such a tree is a cotree,
     its markings are the maximal cliques of the graph of concurrent places,
-    and so no marking holds another.  Pass one ``memo`` to a series of
-    checks to share node-pair verdicts between them.
+    and so no marking holds another.
+
+    The test is a conjunction of obligations ``(views, y)``: every marking of
+    the product of ``views`` is one of node ``y``.  A view is a node ``x`` and
+    the places its share may hold (``cut``; None: all).  One explicit stack
+    holds the open obligations, and the first that fails decides.
     """
-    if memo is None:
-        memo = EmbeddingMemo()
-    memo.hold(c, c2)
-    return _includes(c, c2, memo.verdicts)
-
-
-def _includes(
-    x: CNode, y: CNode, verdicts: dict, cut: frozenset[str] | None = None
-) -> bool:
-    """Is every marking of ``x``, or its share inside ``cut``, one of ``y``?
-
-    Each alternative of ``x`` (a place, or a live block as the product of its
-    factors) is checked on its own.  A share that leaves some marking empty
-    fails, as no marking of ``y`` holds another.  Whole nodes are memoised.
-    """
-    if cut is None:
-        if x is y:  # a tree generates its own markings
-            return True
-        key = (id(x), id(y))
-        ok = verdicts.get(key)
-        if ok is not None:
-            return ok
-    ok = all(_place_in(p, y) for p in x.own_places - y.own_places)
-    for b in x.live_blocks:
-        views = [(f, None if cut is None or f.place_set <= cut else f.place_set & cut)
-                 for f in b.factors if cut is None or not f.place_set.isdisjoint(cut)]
-        ok = ok and _product_in(views, y, verdicts)
-    if cut is None:
-        verdicts[key] = ok
-    return ok
-
-
-def _product_in(
-    views: list[tuple[CNode, frozenset[str] | None]], y: CNode, verdicts: dict
-) -> bool:
-    """Is every marking of the product of ``views`` one of ``y``?
-
-    A view is a factor node and the places its share may hold (None: all).
-    Two or more factors give markings of two or more places that overlap
-    pairwise, so all lie in the block alternative of ``y`` holding any one of
-    their places.  Each factor of that block must generate its share; a view
-    spread over several of them is cut into one view per factor.
-    """
-    if len(views) == 1:
-        return _includes(views[0][0], y, verdicts, views[0][1])
-    if not views:  # the empty marking
-        return any(not b.factors for b in y.live_blocks)
-    x, cut = views[0]
-    target = _block_holding(next(iter(cut or x.place_set)), y)
-    if target is None:
-        return False
-    factors = target.factors
-    if len(factors) == 1:
-        return _product_in(views, factors[0], verdicts)
-    shares: list[list] = [[] for _ in factors]
-    for x, cut in views:
-        j = _locate(next(iter(cut or x.place_set)), target)
-        if cut is None and j is not None and x.place_set <= factors[j].place_set:
-            shares[j].append((x, None))
+    todo: list[tuple[list[tuple[CNode, frozenset[str] | None]], CNode]] = [([(c, None)], c2)]
+    while todo:
+        views, y = todo.pop()
+        if len(views) == 1:
+            # each alternative of x (a place, or a live block as the product
+            # of its factors) on its own; a share that leaves some marking
+            # empty fails, as no marking of y holds another
+            x, cut = views[0]
+            if cut is None and x is y:  # a tree generates its own markings
+                continue
+            if not all(_place_in(p, y) for p in x.own_places - y.own_places):
+                return False
+            for b in x.live_blocks:
+                views = [(f, None if cut is None or f.place_set <= cut else f.place_set & cut)
+                         for f in b.factors if cut is None or not f.place_set.isdisjoint(cut)]
+                todo.append((views, y))
             continue
-        parts: dict[int | None, set[str]] = {}
-        for p in cut or x.place_set:
-            parts.setdefault(_locate(p, target), set()).add(p)
-        if None in parts:
+        if not views:  # the empty marking
+            if not any(not b.factors for b in y.live_blocks):
+                return False
+            continue
+        # Two or more factors give markings of two or more places that overlap
+        # pairwise, so all lie in the block alternative of y holding any one
+        # of their places.  Each factor of that block must generate its
+        # share; a view spread over several of them is cut into one view per
+        # factor.
+        x, cut = views[0]
+        target = _block_holding(next(iter(cut or x.place_set)), y)
+        if target is None:
             return False
-        for j, part in parts.items():
-            shares[j].append((x, frozenset(part)))
-    return all(s and _product_in(s, f, verdicts) for s, f in zip(shares, factors))
+        factors = target.factors
+        if len(factors) == 1:
+            todo.append((views, factors[0]))
+            continue
+        index = target.factor_index
+        shares: list[list] = [[] for _ in factors]
+        for x, cut in views:
+            j = index.get(next(iter(cut or x.place_set)))
+            if cut is None and j is not None and x.place_set <= factors[j].place_set:
+                shares[j].append((x, None))
+                continue
+            parts: dict[int | None, set[str]] = {}
+            for p in cut or x.place_set:
+                parts.setdefault(index.get(p), set()).add(p)
+            if None in parts:
+                return False
+            for j, part in parts.items():
+                shares[j].append((x, frozenset(part)))
+        if not all(shares):
+            return False
+        todo += zip(shares, factors)
+    return True
 
 
 def _place_in(p: str, y: CNode) -> bool:
@@ -534,11 +507,6 @@ def _block_holding(p: str, y: CNode) -> CBlock | None:
     if len(blocks) == 1:
         return blocks[0]
     return y.block_index.get(p)
-
-
-def _locate(p: str, block: CBlock) -> int | None:
-    """The index of the first factor of ``block`` holding ``p``."""
-    return block.factor_index.get(p)
 
 
 # ── text and DOT rendering ──────────────────────────────────────────────────

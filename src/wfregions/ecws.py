@@ -216,10 +216,9 @@ def parse_marking(text: str) -> Marking:
 
 # ── reader ──────────────────────────────────────────────────────────────────
 
-#: Deepest bracket nesting that ``parse`` accepts.  Parsing does not recurse;
-#: the bound keeps the one C-tree walk that still recurses per parallel level,
-#: a cold inclusion check (``ctree._includes``/``_product_in``), clear of
-#: Python's limit.
+#: Deepest bracket nesting that ``parse`` accepts.  No parse and no C-tree
+#: walk recurses, but the analysis cost grows faster than linearly with the
+#: depth of parallel nesting, so the bound caps the work outside input asks.
 MAX_NESTING = 64
 
 #: Each kind of block: its brackets, its name in messages, and the border

@@ -35,8 +35,8 @@ from .ecws import (
     validate_tree,
     walk,
 )
-from .regions import analyze
-from .wfnet import DEFAULT_STATE_CAP, oracle_classify
+from .regions import AnalysisReport, analyze
+from .wfnet import DEFAULT_STATE_CAP, OracleReport, oracle_classify
 
 
 # ── random tree generation ──────────────────────────────────────────────────
@@ -399,18 +399,27 @@ def check_pair_agreement(
     """Mismatches between the structural analysis and the oracle (empty = agree)."""
     report = analyze(old, new)
     oracle = oracle_classify(build_net(old), build_net(new), cap=cap)
-    problems: list[str] = []
+    return [problem for problem in oracle_mismatches(report, oracle).values() if problem]
+
+
+def oracle_mismatches(report: AnalysisReport, oracle: OracleReport) -> dict[str, str | None]:
+    """The fields a report must share with the oracle's (``scr``,
+    ``pscr_exists``, ``pscr``, ``per_place``), each mapped to None where they
+    agree and else to the mismatch in words.  A wrong ``pscr_exists`` makes
+    ``pscr`` wrong too; it is told once, so ``pscr`` then maps to ``""``."""
+    out: dict[str, str | None] = dict.fromkeys(("scr", "pscr_exists", "pscr", "per_place"))
     if report.scr != oracle.semantic_scr:
-        problems.append(
+        out["scr"] = (
             f"scr: structural {sorted(report.scr)} vs oracle {sorted(oracle.semantic_scr)}"
         )
     if report.pscr_exists != oracle.semantic_pscr_exists:
-        problems.append(
+        out["pscr_exists"] = (
             f"pscr_exists: structural {report.pscr_exists} "
             f"vs oracle {oracle.semantic_pscr_exists}"
         )
+        out["pscr"] = ""
     elif report.pscr_exists and report.pscr != oracle.semantic_pscr:
-        problems.append(
+        out["pscr"] = (
             f"pscr: structural {sorted(report.pscr or ())} "
             f"vs oracle {sorted(oracle.semantic_pscr or ())}"
         )
@@ -420,8 +429,8 @@ def check_pair_agreement(
             for p in sorted(report.per_place)
             if report.per_place[p] != oracle.per_place[p]
         }
-        problems.append(f"per_place (structural, oracle): {diff}")
-    return problems
+        out["per_place"] = f"per_place (structural, oracle): {diff}"
+    return out
 
 
 def _try_remove_place(tree: BlockTree, label: str) -> BlockTree | None:

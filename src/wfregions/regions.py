@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .ctree import CTree, EmbeddingMemo, Route, build_ctree, delete_places, gcs
+from .ctree import CTree, build_ctree, delete_places, gcs
 from .ctree import is_breakoff, mpe_exists, places
 from .ecws import BlockTree
 from .wfnet import Marking, MemberClass
@@ -59,16 +59,14 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
     trees — failed marking inclusion means weak reformed concurrency, and weak
     plus a break-off of the places lost from (or new in) the concurrent
     surroundings means strong.  A place's gcs depends only on its route,
-    so the reformed verdict is computed once per pair of old and new node,
-    and all those checks share one inclusion memo.  Where the two routes
-    pass through the same block objects at the same branch indices (an
-    unchanged region of trees built with ``build_ctree(new, like=old)``),
-    the two gcs trees are equal and the place is not reformed: no gcs is
-    built and nothing is checked.
+    so the reformed verdict is computed once per pair of old and new node.
+    Where the two routes start at one block object (an unchanged region of
+    trees built with ``build_ctree(new, like=old)``), the two gcs trees are
+    equal and the place is not reformed: no gcs is built and nothing is
+    checked.
     """
     r, lc, ac, wrc, src = set(), set(), set(), set(), set()
     routes_new = c2.place_index
-    memo = EmbeddingMemo()
     verdicts: dict[tuple[int, int], tuple[bool, bool]] = {}
     for p, route in c.place_index.items():
         route2 = routes_new.get(p)
@@ -83,10 +81,12 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
             key = (id(route), id(route2))
             verdict = verdicts.get(key)
             if verdict is None:
-                if _same_route(route, route2):
+                # one outermost block object holds p in both trees, and p
+                # occurs in it once, so both routes are its one path to p
+                if route[0][0] is route2[0][0]:
                     verdict = verdicts[key] = (False, False)
                 else:
-                    verdict = verdicts[key] = _reformed(p, c, c2, memo)
+                    verdict = verdicts[key] = _reformed(p, c, c2)
             weak, strong = verdict
             if weak:
                 wrc.add(p)
@@ -95,17 +95,10 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
     return ChangeSets(*map(frozenset, (r, lc, ac, wrc, src)))
 
 
-def _same_route(route: Route, route2: Route) -> bool:
-    """Do both routes take the same branch of the same block objects?"""
-    return len(route) == len(route2) and all(
-        b is b2 and i == i2 for (b, i), (b2, i2) in zip(route, route2)
-    )
-
-
-def _reformed(p: str, c: CTree, c2: CTree, memo: EmbeddingMemo) -> tuple[bool, bool]:
+def _reformed(p: str, c: CTree, c2: CTree) -> tuple[bool, bool]:
     """(weak, strong) reformed concurrency of a place concurrent in both trees."""
     g, g2 = gcs(p, c), gcs(p, c2)
-    if mpe_exists(g, g2, memo):
+    if mpe_exists(g, g2):
         return False, False
     lost = places(g) - places(g2)
     gained = places(g2) - places(g)

@@ -39,9 +39,10 @@ def nested_and(depth: int) -> str:
     return text
 
 
-def deep_tree(depth: int) -> SeqBlock:
-    """Blocks nested ``depth`` deep, cycling through parallel, choice and loop."""
-    seq = SeqBlock((Place("z"),))
+def deep_tree(depth: int, core: tuple = (Place("z"),)) -> SeqBlock:
+    """Blocks nested ``depth`` deep, cycling through parallel, choice and
+    loop, around the sequence ``core``."""
+    seq = SeqBlock(core)
     for k in reversed(range(depth)):
         b, c, e = Transition(f"b{k}"), Transition(f"c{k}"), Transition(f"e{k}")
         if k % 3 == 0:

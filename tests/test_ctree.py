@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from wfregions import (
     CBlock,
     CNode,
-    EmbeddingMemo,
+    Place,
     UnknownPlaceError,
     build_ctree,
     build_net,
@@ -30,7 +30,7 @@ from wfregions import (
     reachable_markings,
     sample_marking,
 )
-from wfregions.ctree import _block_holding, _locate
+from wfregions.ctree import _block_holding
 from wfregions.randomnets import mutate_transpose_places
 
 from conftest import composed_pair, deep_tree, load_fixture
@@ -131,6 +131,39 @@ def test_sample_marking_draws_only_valid_markings():
     assert seen == valid  # 6 markings, 80 draws: all of them show up
 
 
+def _filtered_draw(c: CNode, rng: random.Random) -> frozenset[str]:
+    """The draw with the viable elements filtered at every node."""
+    picked, stack = set(), [c]
+    while stack:
+        node = stack.pop()
+        el = rng.choice([el for el in node.elements if isinstance(el, str) or el.generable])
+        if isinstance(el, str):
+            picked.add(el)
+        else:
+            stack += reversed(el.branches)
+    return frozenset(picked)
+
+
+def test_sample_marking_draws_as_the_filtered_draw():
+    # one rng stream, one marking per draw: on net trees, where no block is
+    # dead, and on deletion residues, where some are
+    trees = [build_ctree(composed_pair(4)[0]), build_ctree(load_fixture("nested"))]
+    trees += [build_ctree(random_tree(random.Random(s), 6, 30)) for s in range(20)]
+    residues = []
+    for s, c in enumerate(trees):
+        rng = random.Random(s)
+        for _ in range(10):
+            d = delete_places(c, set(rng.sample(sorted(places(c)), len(places(c)) // 4)))
+            if not is_dysfunctional(d):
+                residues.append(d)
+    dead = [d for d in residues if any(not b.generable for n in _nodes(d) for b in n.blocks)]
+    assert len(dead) >= 20
+    for s, c in enumerate(trees + residues):
+        rng, rng2 = random.Random(s), random.Random(s)
+        for _ in range(5):
+            assert sample_marking(c, rng) == _filtered_draw(c, rng2)
+
+
 def test_sample_marking_fails_on_dead_tree():
     c = build_ctree(parse(PARALLEL))
     dead = delete_places(c, places(c))
@@ -190,6 +223,17 @@ def test_deep_ctree_walks_need_no_recursion():
     assert mgs_text(d) == text.replace("a1199,z,", "a1199,")
 
 
+def test_inclusion_of_deep_trees_needs_no_recursion():
+    # 200 and 500 nested parallel blocks, built apart so that no subtree is
+    # shared; a test that recursed a few frames per level failed at both
+    for depth in (600, 1500):
+        c, c2 = build_ctree(deep_tree(depth)), build_ctree(deep_tree(depth))
+        assert mpe_exists(c, c2) and mpe_exists(c2, c)
+    # y in place of z at the bottom: neither tree has the other's inner markings
+    c2 = build_ctree(deep_tree(depth, core=(Place("y"),)))
+    assert not mpe_exists(c, c2) and not mpe_exists(c2, c)
+
+
 def test_generation_and_dot_need_no_recursion():
     # 1,000 nested parallel blocks, past the default recursion limit
     c = build_ctree(deep_tree(3000))
@@ -244,13 +288,12 @@ def test_deletion_rebuilds_only_the_paths_to_deleted_places():
         assert sum(id(n) not in before for n in _nodes(d)) == len(on_paths)
 
 
-def test_a_tree_includes_itself_without_a_memo_entry():
+def test_a_tree_includes_itself_and_an_equal_copy():
+    # the copy shares no node with c, so the test walks the whole tree
     c = build_ctree(composed_pair(5)[0])
-    memo = EmbeddingMemo()
-    assert mpe_exists(c, c, memo)
-    assert memo.verdicts == {}
-    assert mpe_exists(c, build_ctree(composed_pair(5)[0]), memo)
-    assert memo.verdicts
+    copy = build_ctree(composed_pair(5)[0])
+    assert copy == c and not {id(n) for n in _nodes(c)} & {id(n) for n in _nodes(copy)}
+    assert mpe_exists(c, c) and mpe_exists(c, copy) and mpe_exists(copy, c)
 
 
 def test_block_lookup_index_equals_the_linear_scans():
@@ -267,7 +310,7 @@ def test_block_lookup_index_equals_the_linear_scans():
             assert _block_holding(p, y) is scan
             for b in y.live_blocks:
                 scan_j = next((j for j, f in enumerate(b.factors) if p in f.place_set), None)
-                assert _locate(p, b) == scan_j
+                assert b.factor_index.get(p) == scan_j
 
 
 # ── marking-preserving embedding ─────────────────────────────────────────────

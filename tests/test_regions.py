@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from wfregions import (
     ChangeSets,
     Decision,
     MemberClass,
+    Place,
     analyze,
     build_ctree,
     build_net,
@@ -400,6 +402,15 @@ def test_deep_tree_built_in_code_is_analyzed():
     assert len(report.per_place) == 1168
     assert set(report.per_place.values()) == {MemberClass.SAFE}
     assert report.pscr_exists
+
+
+def test_deep_pair_changed_at_the_bottom_is_analyzed():
+    # 200 parallel levels with y in place of z: no block is shared, so every
+    # concurrent place runs the inclusion test through all levels below it
+    report = analyze(deep_tree(600), deep_tree(600, core=(Place("y"),)))
+    assert report.change_sets.cr_r == {"z"} and report.perf == {"z"}
+    assert len(report.over) == 200 and report.pscr_exists
+    assert Counter(report.per_place.values())[MemberClass.SAFE] == 1200
 
 
 def test_decide_unknown_only_without_perfect_region():
