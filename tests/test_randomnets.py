@@ -283,3 +283,33 @@ def test_mutate_outputs_are_pinned():
     assert digest.hexdigest() == (
         "01f12c81430275ab278cb9278988cb308d01c967eca963c5bc18609ee482f37b"
     )
+
+
+def test_block_changes_are_pinned():
+    # these seeds return each of the eight block edits (to_and, to_loop and
+    # flatten of a choice; to_xor, sequentialize and flatten of a parallel
+    # block; loop_to_xor and unroll), so the digest pins the RNG draws and
+    # the shuffled order of each block's edits
+    digest = hashlib.sha256()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        tree = random_tree(rng, 6, 30)
+        out = mutate_block_change(tree, rng)
+        digest.update(((format_tree(out) if out is not None else "-") + "\n").encode())
+    assert digest.hexdigest() == (
+        "3ab312afb3fbc30a343d859680904d37bf8cbb83d202a5effdaea32dff6fbead"
+    )
+
+
+def test_shrunk_pairs_are_pinned():
+    def still_failing(old, new):
+        return "p3" in place_labels(old) and len(place_labels(new)) >= 3
+
+    digest = hashlib.sha256()
+    for seed in range(400):
+        old, new = random_net_pair(random.Random(seed), 5, 30)
+        small_old, small_new = shrink_pair(old, new, still_failing)
+        digest.update(f"{format_tree(small_old)} {format_tree(small_new)}\n".encode())
+    assert digest.hexdigest() == (
+        "54a412eeda297598372da31f1a277900203c2f20329e2568e01375141ec0b98d"
+    )
