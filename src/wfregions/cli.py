@@ -50,6 +50,8 @@ def _load(path: str) -> BlockTree:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot read byte {exc.start}: not UTF-8 text") from exc
     try:
         return parse(text)
     except ParseError as exc:
@@ -196,12 +198,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     tree = _load(args.file)
-    what, place = args.what[0], args.what[1] if len(args.what) > 1 else None
+    what, *rest = args.what
     if what not in ("net", "ctree", "gcs"):
         print(f"error: unknown export target {what!r}", file=sys.stderr)
         return 2
-    if what == "gcs" and place is None:
+    wanted = 1 if what == "gcs" else 0  # the place label of a gcs export
+    if len(rest) < wanted:
         print("error: gcs export needs a place label", file=sys.stderr)
+        return 2
+    if len(rest) > wanted:
+        print(f"error: unexpected values after --what {what}: {' '.join(rest[wanted:])}",
+              file=sys.stderr)
         return 2
     fmt = args.format or ("dot" if what == "net" else "mgs")
     if what == "net":
@@ -212,7 +219,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         return 0
     ctree = build_ctree(tree)
     if what == "gcs":
-        ctree = gcs(place, ctree)
+        ctree = gcs(rest[0], ctree)
     print(mgs_text(ctree) if fmt == "mgs" else ctree_dot(ctree))
     return 0
 
@@ -240,10 +247,20 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_STATE_CAP,
         metavar="N",
         help="abort reachability search beyond N markings",
@@ -297,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("fuzz", help="compare the analysis with the oracle on random pairs")
-    p.add_argument("--count", type=int, default=200, metavar="N")
+    p.add_argument("--count", type=_positive_int, default=200, metavar="N")
     _add_cap(p)
     p.add_argument("--seed", type=int, default=None, metavar="S", help="random seed")
     p.set_defaults(func=cmd_fuzz)

@@ -383,19 +383,7 @@ def is_dysfunctional(c: CTree) -> bool:
 def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
     """True iff every marking of the tree meets ``labels`` (equivalently:
     deleting them leaves the tree unable to generate any marking)."""
-
-    def survives(node: CNode) -> Generator[CNode, bool, bool]:
-        if not node.own_places <= labels:
-            return True
-        for block in node.live_blocks:
-            for branch in block.branches:
-                if not (yield branch):
-                    break
-            else:
-                return True
-        return False
-
-    return not _drive(survives, c)
+    return is_dysfunctional(delete_places(c, labels))
 
 
 def _drive(step: Callable[[CNode], Generator], root: CNode) -> Any:

@@ -5,16 +5,19 @@ place count.  Mutations produce a changed copy of a tree — inserting or
 removing a place, transposing place labels, swapping parallel branch tails,
 converting a block to another kind (or flattening it), or renaming a
 transition — retrying with a different edit when a candidate breaks a
-grammar rule.  ``random_net_pair`` combines both into reproducible old/new
-pairs for the agreement suites, ``check_pair_agreement`` scores one pair
-against the brute-force oracle, and ``shrink_pair`` greedily minimizes a
-failing pair before it is reported.
+grammar rule.  Every structural edit is data: a stretch of one sequence's
+children and its replacement, which ``_splice`` applies and validates.
+Removing a place, in a mutation or while shrinking, takes its stretch from
+the one list ``_place_cuts``.  ``random_net_pair`` combines generation and
+mutation into reproducible old/new pairs for the agreement suites,
+``check_pair_agreement`` scores one pair against the brute-force oracle, and
+``shrink_pair`` greedily minimizes a failing pair before it is reported.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .ctree import build_ctree
 from .ecws import (
@@ -25,6 +28,7 @@ from .ecws import (
     ParseError,
     Place,
     SeqBlock,
+    SeqPath,
     Transition,
     XorBlock,
     branches_of,
@@ -157,6 +161,32 @@ def _valid_or_none(tree: BlockTree) -> BlockTree | None:
     return tree
 
 
+def _splice(
+    tree: BlockTree, path: SeqPath, lo: int, hi: int, replacement: tuple[Element, ...]
+) -> BlockTree | None:
+    """The tree with ``children[lo:hi + 1]`` of the sequence at ``path``
+    replaced (``hi = lo - 1`` inserts before ``lo``), or None if the result
+    breaks a grammar rule."""
+    return _valid_or_none(
+        edit_seq(tree, path, lambda seq: (*seq[:lo], *replacement, *seq[hi + 1 :]))
+    )
+
+
+def _place_cuts(tree: BlockTree) -> Iterator[tuple[str, SeqPath, int, int]]:
+    """Each way to remove a place together with a neighbouring transition, as
+    ``(label, path, lo, hi)`` for the stretch ``children[lo:hi + 1]``: in
+    walk order, and per place the cut with the transition after it first."""
+    for path, seq in walk(tree):
+        children = seq.children
+        for i, child in enumerate(children):
+            if not isinstance(child, Place):
+                continue
+            if i + 1 < len(children) and isinstance(children[i + 1], Transition):
+                yield child.label, path, i, i + 1
+            if i - 1 >= 0 and isinstance(children[i - 1], Transition):
+                yield child.label, path, i - 1, i
+
+
 # ── mutations ───────────────────────────────────────────────────────────────
 
 
@@ -172,30 +202,14 @@ def mutate_insert_place(tree: BlockTree, rng: random.Random) -> BlockTree | None
     path, i = rng.choice(spots)
     used = set(iter_labels(tree))
     t_new, p_new = _fresh(used, "v"), _fresh(used, "q")
-
-    def splice(children: tuple[Element, ...]) -> tuple[Element, ...]:
-        return (*children[: i + 1], Transition(t_new), Place(p_new), *children[i + 1 :])
-
-    return edit_seq(tree, path, splice)
+    return _splice(tree, path, i + 1, i, (Transition(t_new), Place(p_new)))
 
 
 def mutate_remove_place(tree: BlockTree, rng: random.Random) -> BlockTree | None:
-    candidates = []
-    for path, seq in walk(tree):
-        for i, child in enumerate(seq.children):
-            if not isinstance(child, Place):
-                continue
-            if i + 1 < len(seq.children) and isinstance(seq.children[i + 1], Transition):
-                candidates.append((path, i, i + 1))
-            if i - 1 >= 0 and isinstance(seq.children[i - 1], Transition):
-                candidates.append((path, i - 1, i))
-    rng.shuffle(candidates)
-    for path, lo, hi in candidates:
-
-        def cut(children: tuple[Element, ...], lo: int = lo, hi: int = hi):
-            return (*children[:lo], *children[hi + 1 :])
-
-        out = _valid_or_none(edit_seq(tree, path, cut))
+    cuts = list(_place_cuts(tree))
+    rng.shuffle(cuts)
+    for _, path, lo, hi in cuts:
+        out = _splice(tree, path, lo, hi, ())
         if out is not None:
             return out
     return None
@@ -237,118 +251,71 @@ def mutate_relabel_transition(tree: BlockTree, rng: random.Random) -> BlockTree 
 def mutate_block_change(tree: BlockTree, rng: random.Random) -> BlockTree | None:
     """Convert one block to a different kind, or flatten it away."""
     spots = [
-        (path, i, child)
+        (path, seq.children, i)
         for path, seq in walk(tree)
         for i, child in enumerate(seq.children)
         if branches_of(child)
     ]
     rng.shuffle(spots)
-    for path, i, block in spots:
-        edits = _block_edits(tree, i, block, rng)
+    for path, children, i in spots:
+        edits = _block_edits(tree, children, i, rng)
         rng.shuffle(edits)
-        for edit in edits:
-            out = _valid_or_none(edit_seq(tree, path, edit))
+        for lo, hi, replacement in edits:
+            out = _splice(tree, path, lo, hi, replacement)
             if out is not None:
                 return out
     return None
 
 
-def _block_edits(tree: BlockTree, i: int, block: Element, rng: random.Random):
-    """Candidate child-tuple rewrites for the block at index ``i``."""
-    used = set(iter_labels(tree))
-    edits: list[Callable[[tuple[Element, ...]], tuple[Element, ...]]] = []
+def _block_edits(
+    tree: BlockTree, children: tuple[Element, ...], i: int, rng: random.Random
+) -> list[tuple[int, int, tuple[Element, ...]]]:
+    """Candidate rewrites of the block ``children[i]``, each the stretch
+    ``(lo, hi, replacement)`` of ``children`` it replaces."""
+    block = children[i]
+    edits: list[tuple[int, int, tuple[Element, ...]]] = []
 
     if isinstance(block, XorBlock):
         with_body = [b for b in block.branches if len(b.children) >= 3]
         if len(with_body) == len(block.branches):
-
-            def to_and(children: tuple[Element, ...]) -> tuple[Element, ...]:
-                first = block.branches[0]
-                fork, join = first.children[0], first.children[-1]
-                inner = tuple(
-                    SeqBlock(b.children[1:-1]) for b in block.branches
-                )
-                return (
-                    *children[:i],
-                    fork,
-                    AndBlock(inner),
-                    join,
-                    *children[i + 1 :],
-                )
-
-            edits.append(to_and)
+            # to a parallel block: the first branch's ends become fork and join
+            first = block.branches[0]
+            inner = tuple(SeqBlock(b.children[1:-1]) for b in block.branches)
+            edits.append((i, i, (first.children[0], AndBlock(inner), first.children[-1])))
         if with_body and len(block.branches) >= 2:
+            # to a loop: one branch's body goes forward, another goes back
             fwd_src = rng.choice(with_body)
             others = [b for b in block.branches if b is not fwd_src]
             back = rng.choice(others)
-
-            def to_loop(children: tuple[Element, ...]) -> tuple[Element, ...]:
-                return (
-                    *children[:i],
-                    fwd_src.children[0],
-                    LoopBlock(SeqBlock(fwd_src.children[1:-1]), back),
-                    fwd_src.children[-1],
-                    *children[i + 1 :],
-                )
-
-            edits.append(to_loop)
-        survivor = rng.choice(block.branches)
-
-        def flatten_xor(children: tuple[Element, ...]) -> tuple[Element, ...]:
-            return (*children[:i], *survivor.children, *children[i + 1 :])
-
-        edits.append(flatten_xor)
+            loop = LoopBlock(SeqBlock(fwd_src.children[1:-1]), back)
+            edits.append((i, i, (fwd_src.children[0], loop, fwd_src.children[-1])))
+        edits.append((i, i, rng.choice(block.branches).children))
 
     elif isinstance(block, AndBlock):
-
-        def to_xor(children: tuple[Element, ...]) -> tuple[Element, ...]:
-            local = set(used)
-            branches = []
-            for k, b in enumerate(block.branches):
-                if k == 0:
-                    entry, exit_ = children[i - 1], children[i + 1]
-                else:
-                    entry = Transition(_fresh(local, "v"))
-                    exit_ = Transition(_fresh(local, "v"))
-                branches.append(SeqBlock((entry, *b.children, exit_)))
-            return (*children[: i - 1], XorBlock(tuple(branches)), *children[i + 2 :])
-
-        edits.append(to_xor)
-
-        def sequentialize(children: tuple[Element, ...]) -> tuple[Element, ...]:
-            local = set(used)
-            flat: list[Element] = []
-            for k, b in enumerate(block.branches):
-                if k:
-                    flat.append(Transition(_fresh(local, "v")))
-                flat.extend(b.children)
-            return (*children[:i], *flat, *children[i + 1 :])
-
-        edits.append(sequentialize)
-        survivor_and = rng.choice(block.branches)
-
-        def flatten_and(children: tuple[Element, ...]) -> tuple[Element, ...]:
-            return (*children[:i], *survivor_and.children, *children[i + 1 :])
-
-        edits.append(flatten_and)
+        # to a choice: the fork and join frame the first branch, the others
+        # get fresh transitions
+        fresh = set(iter_labels(tree))
+        branches = [SeqBlock((children[i - 1], *block.branches[0].children, children[i + 1]))]
+        for b in block.branches[1:]:
+            entry, exit_ = Transition(_fresh(fresh, "v")), Transition(_fresh(fresh, "v"))
+            branches.append(SeqBlock((entry, *b.children, exit_)))
+        edits.append((i - 1, i + 1, (XorBlock(tuple(branches)),)))
+        # sequentialize: the branches one after another, joined by fresh
+        # transitions
+        fresh = set(iter_labels(tree))
+        flat = list(block.branches[0].children)
+        for b in block.branches[1:]:
+            flat.append(Transition(_fresh(fresh, "v")))
+            flat.extend(b.children)
+        edits.append((i, i, tuple(flat)))
+        edits.append((i, i, rng.choice(block.branches).children))
 
     else:
         assert isinstance(block, LoopBlock)
-
-        def loop_to_xor(children: tuple[Element, ...]) -> tuple[Element, ...]:
-            first = SeqBlock((children[i - 1], *block.forward.children, children[i + 1]))
-            return (
-                *children[: i - 1],
-                XorBlock((first, block.back)),
-                *children[i + 2 :],
-            )
-
-        edits.append(loop_to_xor)
-
-        def unroll(children: tuple[Element, ...]) -> tuple[Element, ...]:
-            return (*children[:i], *block.forward.children, *children[i + 1 :])
-
-        edits.append(unroll)
+        # to a choice of the forward and back parts, or unrolled to the forward part
+        first = SeqBlock((children[i - 1], *block.forward.children, children[i + 1]))
+        edits.append((i - 1, i + 1, (XorBlock((first, block.back)),)))
+        edits.append((i, i, block.forward.children))
 
     return edits
 
@@ -434,25 +401,31 @@ def oracle_mismatches(report: AnalysisReport, oracle: OracleReport) -> dict[str,
 
 
 def _try_remove_place(tree: BlockTree, label: str) -> BlockTree | None:
-    for path, seq in walk(tree):
-        for i, child in enumerate(seq.children):
-            if not (isinstance(child, Place) and child.label == label):
-                continue
-            spans = []
-            if i + 1 < len(seq.children) and isinstance(seq.children[i + 1], Transition):
-                spans.append((i, i + 1))
-            if i - 1 >= 0 and isinstance(seq.children[i - 1], Transition):
-                spans.append((i - 1, i))
-            for lo, hi in spans:
-
-                def cut(children: tuple[Element, ...], lo: int = lo, hi: int = hi):
-                    return (*children[:lo], *children[hi + 1 :])
-
-                out = _valid_or_none(edit_seq(tree, path, cut))
-                if out is not None:
-                    return out
-            return None
+    for cut_label, path, lo, hi in _place_cuts(tree):
+        if cut_label == label:
+            out = _splice(tree, path, lo, hi, ())
+            if out is not None:
+                return out
     return None
+
+
+def _one_place_less(old: BlockTree, new: BlockTree) -> Iterator[tuple[BlockTree, BlockTree]]:
+    """The valid pairs with one place removed, built lazily: a shared place
+    from both nets, then one of the old net only, then one of the new net
+    only, each in label order."""
+    old_labels, new_labels = place_labels(old), place_labels(new)
+    for label in sorted(old_labels & new_labels):
+        o2, n2 = _try_remove_place(old, label), _try_remove_place(new, label)
+        if o2 is not None and n2 is not None:
+            yield o2, n2
+    for label in sorted(old_labels - new_labels):
+        o2 = _try_remove_place(old, label)
+        if o2 is not None:
+            yield o2, new
+    for label in sorted(new_labels - old_labels):
+        n2 = _try_remove_place(new, label)
+        if n2 is not None:
+            yield old, n2
 
 
 def shrink_pair(
@@ -461,28 +434,10 @@ def shrink_pair(
     still_failing: Callable[[BlockTree, BlockTree], bool],
 ) -> tuple[BlockTree, BlockTree]:
     """Greedily remove places while the pair keeps exhibiting the failure."""
-    progress = True
-    while progress:
-        progress = False
-        shared = sorted(place_labels(old) & place_labels(new))
-        only_old = sorted(place_labels(old) - place_labels(new))
-        only_new = sorted(place_labels(new) - place_labels(old))
-        candidates: list[tuple[BlockTree, BlockTree]] = []
-        for label in shared:
-            o2, n2 = _try_remove_place(old, label), _try_remove_place(new, label)
-            if o2 is not None and n2 is not None:
-                candidates.append((o2, n2))
-        for label in only_old:
-            o2 = _try_remove_place(old, label)
-            if o2 is not None:
-                candidates.append((o2, new))
-        for label in only_new:
-            n2 = _try_remove_place(new, label)
-            if n2 is not None:
-                candidates.append((old, n2))
-        for cand_old, cand_new in candidates:
+    while True:
+        for cand_old, cand_new in _one_place_less(old, new):
             if still_failing(cand_old, cand_new):
                 old, new = cand_old, cand_new
-                progress = True
                 break
-    return old, new
+        else:
+            return old, new

@@ -122,6 +122,15 @@ def test_analyze_parse_error_names_file(capsys, tmp_path):
     assert f"{bad}:1:3:" in err
 
 
+def test_analyze_text_that_is_not_utf8_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.ecws"
+    bad.write_bytes(b"\xff\xfep1t1p2\n")
+    code, out, err = run(capsys, "analyze", str(bad), fx("nested"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: cannot read byte 0: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("depth, code", [(64, 0), (65, 2)])
 def test_analyze_nesting_bound(capsys, tmp_path, depth, code):
     path = tmp_path / "deep.ecws"
@@ -242,6 +251,17 @@ def test_export_ctree_dot(capsys):
     assert out.startswith("digraph ctree {")
 
 
+@pytest.mark.parametrize(
+    "what, extra",
+    [(["ctree", "p6"], "p6"), (["net", "p6"], "p6"), (["gcs", "p6", "p7", "junk"], "p7 junk")],
+)
+def test_export_refuses_extra_what_values(capsys, what, extra):
+    code, out, err = run(capsys, "export", fx("nested"), "--what", *what)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unexpected values after --what {what[0]}: {extra}\n"
+
+
 def test_export_unknown_target(capsys):
     code, _, err = run(capsys, "export", fx("nested"), "--what", "pdf")
     assert code == 2
@@ -303,6 +323,26 @@ def test_flags_of_other_subcommands_exit_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", fx("nested"), fx("nested"), "--cap", "0"],
+         "--cap: must be at least 1, not 0"),
+        (["compare", fx("nested"), fx("nested"), "--cap", "-1"],
+         "--cap: must be at least 1, not -1"),
+        (["fuzz", "--count", "-3"], "--count: must be at least 1, not -3"),
+        (["fuzz", "--cap", "many"], "--cap: not an integer: 'many'"),
+    ],
+)
+def test_cap_and_count_must_be_positive_integers(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(

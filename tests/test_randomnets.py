@@ -286,10 +286,10 @@ def test_mutate_outputs_are_pinned():
 
 
 def test_block_changes_are_pinned():
-    # these seeds return each of the eight block edits (to_and, to_loop and
-    # flatten of a choice; to_xor, sequentialize and flatten of a parallel
-    # block; loop_to_xor and unroll), so the digest pins the RNG draws and
-    # the shuffled order of each block's edits
+    # these seeds return each of the eight block edits (a choice made
+    # parallel, made a loop or flattened; a parallel block made a choice,
+    # sequentialized or flattened; a loop made a choice or unrolled), so the
+    # digest pins the RNG draws and the shuffled order of each block's edits
     digest = hashlib.sha256()
     for seed in range(3000):
         rng = random.Random(seed)
