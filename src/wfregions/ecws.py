@@ -16,8 +16,12 @@ separators, ``#`` starts a comment running to end of line, and a letter
 directly after a decimal digit starts a new label, so ``p1t1p2`` reads as
 three labels.
 
-``parse`` produces a validated block tree, ``format_tree`` prints the
-canonical separator-free text, and ``build_net`` wires the tree into a
+``parse`` produces a validated block tree in one pass over the scanner's
+matches, building the tree as it goes.  It works out a line and column only
+when it raises: a shape error makes it read the text once more, noting where
+each element starts.  Only ``validate_tree`` checks that each label scans as
+one, since a parsed label does so by construction.  ``format_tree`` prints
+the canonical separator-free text, and ``build_net`` wires the tree into a
 :class:`~wfregions.wfnet.WfNet`.  ``branches_of`` is the one place that
 knows how each kind of block holds its sequences; ``walk``, ``seq_at`` and
 ``edit_seq`` visit, find and rebuild sequences by their :data:`SeqPath`.
@@ -169,8 +173,9 @@ def edit_seq(
 _LABEL = re.compile(r"[^\W\d](?:[\d_]|(?<!\d)\w)*")
 
 #: Separators (whitespace, commas, a ``#`` comment to the end of the line),
-#: then a label, a bracket, an illegal character, or the end of the line.
-#: One of the four always matches after the separators, so none backtracks.
+#: then a label, a bracket, an illegal character, or the end of the string
+#: (the whole text in ``parse``, one line in ``tokenize``).  One of the four
+#: always matches after the separators, so none backtracks.
 _TOKEN = re.compile(rf"(?:[\s,]|#.*)*(?:({_LABEL.pattern})|([()\[\]{{}}])|(.)|\Z)")
 
 
@@ -185,7 +190,8 @@ def tokenize(text: str) -> list[Token]:
     """Split ECWS text into labels and brackets, closed by an "eof" token.
 
     Raises LexError on an illegal character or when the input holds no
-    tokens at all.
+    tokens at all.  This is a view with positions for callers and tests;
+    :func:`parse` reads the scanner's matches itself and makes no tokens.
     """
     tokens: list[Token] = []
     for line, chars in enumerate(text.split("\n"), 1):
@@ -237,67 +243,102 @@ _CLOSER = {brackets[0]: brackets[1] for brackets, _, _ in _BLOCKS.values()}
 def parse(text: str) -> BlockTree:
     """Parse ECWS text into a validated block tree.
 
-    Every ParseError it raises carries the line and column of its token.
+    Every ParseError it raises carries the line and column of its token, and
+    an illegal character anywhere in the text is reported before any other
+    error.
     """
-    at: dict[int, Token] = {}
-    tree = _read(tokenize(text), at)
-    _validate(tree, at)
-    return tree
+    tree = _read(text)
+    if _validate(tree) is None:
+        return tree
+    # read the text again, noting where each element starts, to place the fault
+    at: dict[int, int] = {}
+    cls, message, el = _validate(_read(text, at))
+    raise cls(message, *_line_col(text, at[id(el)]))
 
 
-def _read(tokens: list[Token], at: dict[int, Token]) -> BlockTree:
-    """Pair the brackets of ``tokens`` into a tree, leaving its shape unchecked.
+def _read(text: str, at: dict[int, int] | None = None) -> BlockTree:
+    """Pair the brackets of ``text`` into a tree, leaving its shape unchecked.
 
-    A label is a place or a transition by its slot in its sequence, and a run
-    of groups in the same brackets is one block.  ``at`` receives the token
-    of every label, block and bracketed sequence, for the shape check's errors.
+    One pass over the scanner's matches: a label is a place or a transition
+    by its slot in its sequence, and a run of groups in the same brackets is
+    one block.  Given ``at``, it receives the offset of every label, block
+    and bracketed sequence, for the shape check's errors.
     """
+    matches = _TOKEN.finditer(text)
     # the enclosing sequences: children, first slot (1 if a transition's),
-    # opening token, and the run of groups that the open group belongs to
-    stack: list[tuple[list, int, Token | None, list]] = []
+    # opening match, and the run of groups that the open group belongs to
+    stack: list[tuple[list, int, re.Match | None, list]] = []
     children: list[Element] = []
     first, opener = 0, None
-    run: list | None = None  # a run of groups ending the sequence: token, groups
-    for tok in tokens:
-        kind = tok.kind
-        if run is not None and kind != run[0].kind:
-            children.append(_fold(run, at))
+    run: list | None = None  # a run of groups ending the sequence: opening match, groups
+    for m in matches:
+        kind = m.lastindex  # 1 label, 2 bracket, 3 illegal character, None the end
+        if kind == 3:
+            raise _illegal(text, m)
+        if run is not None and (kind != 2 or m[2] != run[0][2]):
+            start, *seqs = run
+            block_type = _OPENS[start[2]]
+            if block_type is not LoopBlock:
+                block = block_type(tuple(seqs))
+            elif len(seqs) == 2:
+                block = LoopBlock(*seqs)
+            else:
+                message = "a loop block needs a forward and a back part"
+                raise _reader_error(message, text, start.start(2), matches)
+            if at is not None:
+                at[id(block)] = start.start(2)
+            children.append(block)
             run = None
-        if kind == "ident":
-            label = (Transition if (len(children) + first) % 2 else Place)(tok.text)
-            at[id(label)] = tok
+        if kind == 1:
+            label = (Transition if (len(children) + first) % 2 else Place)(m[1])
+            if at is not None:
+                at[id(label)] = m.start(1)
             children.append(label)
-        elif kind in _OPENS:
-            if len(stack) == MAX_NESTING:
-                raise ParseError(
-                    f"bracket nesting deeper than {MAX_NESTING} levels", tok.line, tok.col
-                )
-            run = run or [tok]
-            stack.append((children, first, opener, run))
-            first = _BLOCKS[_OPENS[kind]][2][len(run) > 1] is Transition
-            children, opener, run = [], tok, None
-        elif stack and kind == _CLOSER[opener.kind]:
-            seq = SeqBlock(tuple(children))
-            at[id(seq)] = opener
-            children, first, opener, run = stack.pop()
-            run.append(seq)
-        elif stack or kind != "eof":
-            got = repr(tok.text) if tok.text else "end of input"
-            message = (f"expected {_CLOSER[opener.kind]!r}, got {got}" if stack
-                       else f"unexpected {got} after the net")
-            raise ParseError(message, tok.line, tok.col)
+        elif kind == 2:
+            bracket = m[2]
+            if bracket in _OPENS:
+                if len(stack) == MAX_NESTING:
+                    message = f"bracket nesting deeper than {MAX_NESTING} levels"
+                    raise _reader_error(message, text, m.start(2), matches)
+                run = run or [m]
+                stack.append((children, first, opener, run))
+                first = _BLOCKS[_OPENS[bracket]][2][len(run) > 1] is Transition
+                children, opener, run = [], m, None
+            elif stack and bracket == _CLOSER[opener[2]]:
+                seq = SeqBlock(tuple(children))
+                if at is not None:
+                    at[id(seq)] = opener.start(2)
+                children, first, opener, run = stack.pop()
+                run.append(seq)
+            else:
+                message = (f"expected {_CLOSER[opener[2]]!r}, got {bracket!r}" if stack
+                           else f"unexpected {bracket!r} after the net")
+                raise _reader_error(message, text, m.start(2), matches)
+    if stack:
+        message = f"expected {_CLOSER[opener[2]]!r}, got end of input"
+        raise ParseError(message, *_line_col(text, len(text)))
+    if not children:
+        raise LexError("empty input", *_line_col(text, len(text)))
     return SeqBlock(tuple(children))
 
 
-def _fold(run: list, at: dict[int, Token]) -> Element:
-    """The block of a run of groups: its first token, then its sequences."""
-    token, *seqs = run
-    kind = _OPENS[token.kind]
-    if kind is LoopBlock and len(seqs) != 2:
-        raise ParseError("a loop block needs a forward and a back part", token.line, token.col)
-    block = LoopBlock(*seqs) if kind is LoopBlock else kind(tuple(seqs))
-    at[id(block)] = token
-    return block
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """The line and column, both from 1, of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _illegal(text: str, m: re.Match) -> LexError:
+    return LexError(f"illegal character {m[3]!r}", *_line_col(text, m.start(3)))
+
+
+def _reader_error(message: str, text: str, pos: int, rest: Iterator[re.Match]) -> ParseError:
+    """The reader's error at offset ``pos``, unless the scanner's remaining
+    matches ``rest`` hold an illegal character: an illegal character anywhere
+    is the text's error, whatever the reader stopped at before it."""
+    for m in rest:
+        if m.lastindex == 3:
+            return _illegal(text, m)
+    return ParseError(message, *_line_col(text, pos))
 
 
 # ── validation ──────────────────────────────────────────────────────────────
@@ -310,16 +351,25 @@ def validate_tree(tree: BlockTree) -> None:
     scan as one label (it would break the parse/format round trip), and
     DuplicateLabelError when any label (place or transition) occurs twice.
     """
-    _validate(tree, {})
+    fault = _validate(tree, scan=True)
+    if fault is not None:
+        cls, message, _ = fault
+        raise cls(message)
 
 
-def _validate(tree: BlockTree, at: dict[int, Token]) -> None:
+#: What the shape check found wrong: the error class, its message, and the
+#: element at fault.
+_Fault = tuple[type[ParseError], str, object]
+
+
+def _validate(tree: BlockTree, scan: bool = False) -> _Fault | None:
     """The one shape check of :func:`parse` and :func:`validate_tree`.
 
     A sequence alternates place-like and transition-like elements and has a
     label of its border kind at each end; a block follows a label, and a
-    parallel or choice block has 2+ branches.  Errors are reported at the
-    token ``at`` holds for the offending element, if it holds one.
+    parallel or choice block has 2+ branches.  No label may occur twice and,
+    given ``scan``, each must scan as one label; a parsed label does so by
+    construction.  Returns the first fault, or None.
     """
     labels: list[Place | Transition] = []
     # each sequence with its border kind and the closing bracket after it
@@ -328,7 +378,7 @@ def _validate(tree: BlockTree, at: dict[int, Token]) -> None:
         seq, border, closer = stack.pop()
         children = seq.children
         if not children:
-            raise _error("empty sequence", seq, at)
+            return ParseError, "empty sequence", seq
         place_slot = border is Place
         for i, child in enumerate(children):
             leaf = isinstance(child, (Place, Transition))
@@ -337,9 +387,9 @@ def _validate(tree: BlockTree, at: dict[int, Token]) -> None:
             if not fits or not (leaf or i and isinstance(children[i - 1], (Place, Transition))):
                 if i == 0:
                     kind = "place" if border is Place else "transition"
-                    raise _error(f"expected a {kind} label, got {_describe(child)}", child, at)
+                    return ParseError, f"expected a {kind} label, got {_describe(child)}", child
                 need = "transition" if isinstance(child, _PLACE_LIKE) else "place"
-                raise _error(f"{_describe(child)} must be preceded by a {need}", child, at)
+                return ParseError, f"{_describe(child)} must be preceded by a {need}", child
             place_slot = not place_slot
             if leaf:
                 labels.append(child)
@@ -347,26 +397,19 @@ def _validate(tree: BlockTree, at: dict[int, Token]) -> None:
             (_, shut), name, borders = _BLOCKS[type(child)]
             seqs = branches_of(child)
             if len(seqs) < 2:
-                raise _error(f"a {name} block needs at least 2 branches", child, at)
+                return ParseError, f"a {name} block needs at least 2 branches", child
             stack += [(s, borders[b > 0], shut) for b, s in enumerate(seqs)]
         if not isinstance(children[-1], border):
             where = f"before {closer!r}" if closer else "after the net"
-            raise _error(f"unexpected {_describe(children[-1])} {where}", children[-1], at)
+            return ParseError, f"unexpected {_describe(children[-1])} {where}", children[-1]
     seen: set[str] = set()
     for el in labels:
         if el.label in seen:
-            message = f"label {el.label!r} occurs more than once"
-            raise _error(message, el, at, DuplicateLabelError)
-        if not _LABEL.fullmatch(el.label):
-            raise _error(f"label {el.label!r} does not scan as one label", el, at)
+            return DuplicateLabelError, f"label {el.label!r} occurs more than once", el
+        if scan and not _LABEL.fullmatch(el.label):
+            return ParseError, f"label {el.label!r} does not scan as one label", el
         seen.add(el.label)
-
-
-def _error(
-    message: str, el: object, at: dict[int, Token], cls: type[ParseError] = ParseError
-) -> ParseError:
-    token = at.get(id(el))
-    return cls(message) if token is None else cls(message, token.line, token.col)
+    return None
 
 
 def _describe(el: object) -> str:
@@ -410,6 +453,9 @@ def format_tree(tree: BlockTree) -> str:
     """
     out: list[str] = []
     last = ""  # the label just written, or "" after a bracket
+    # whether a label starting with the second character would run on from
+    # one ending with the first: only that character can change how it scans
+    runs_on: dict[tuple[str, str], bool] = {}
     stack: list[Iterator] = [iter(tree.children)]
     while stack:
         for item in stack[-1]:
@@ -420,10 +466,16 @@ def format_tree(tree: BlockTree) -> str:
                 stack.append(iter(item.children))
                 break
             elif isinstance(item, (Place, Transition)):
-                if last and _LABEL.match(last + item.label[0]).end() > len(last):
-                    out.append(",")
-                out.append(item.label)
-                last = item.label
+                label = item.label
+                if last:
+                    pair = (last[-1], label[0])
+                    comma = runs_on.get(pair)
+                    if comma is None:
+                        comma = runs_on[pair] = _LABEL.match(last + label[0]).end() > len(last)
+                    if comma:
+                        out.append(",")
+                out.append(label)
+                last = label
             else:
                 (opener, closer), _, _ = _BLOCKS[type(item)]
                 stack.append(iter([x for s in branches_of(item) for x in (opener, s, closer)]))

@@ -152,24 +152,19 @@ def _fresh(used: set[str], prefix: str) -> str:
     return f"{prefix}{n}"
 
 
-def _valid_or_none(tree: BlockTree) -> BlockTree | None:
-    try:
-        validate_tree(tree)
-        build_net(tree)
-    except ParseError:
-        return None
-    return tree
-
-
 def _splice(
     tree: BlockTree, path: SeqPath, lo: int, hi: int, replacement: tuple[Element, ...]
 ) -> BlockTree | None:
     """The tree with ``children[lo:hi + 1]`` of the sequence at ``path``
     replaced (``hi = lo - 1`` inserts before ``lo``), or None if the result
     breaks a grammar rule."""
-    return _valid_or_none(
-        edit_seq(tree, path, lambda seq: (*seq[:lo], *replacement, *seq[hi + 1 :]))
-    )
+    out = edit_seq(tree, path, lambda seq: (*seq[:lo], *replacement, *seq[hi + 1 :]))
+    try:
+        validate_tree(out)
+        build_net(out)
+    except ParseError:
+        return None
+    return out
 
 
 def _place_cuts(tree: BlockTree) -> Iterator[tuple[str, SeqPath, int, int]]:
@@ -335,12 +330,15 @@ _MUTATIONS: tuple[Callable[[BlockTree, random.Random], BlockTree | None], ...] =
 
 
 def mutate(tree: BlockTree, rng: random.Random) -> BlockTree:
-    """Apply one random mutation; falls back to the identity if none sticks."""
+    """Apply one random mutation to a valid tree; falls back to the identity
+    if none sticks."""
     order = list(_MUTATIONS)
     rng.shuffle(order)
     for mutation in order:
+        # every output is valid: ``_splice`` has checked the structural edits,
+        # and the relabellings keep the shape and give unique labels that scan
         out = mutation(tree, rng)
-        if out is not None and _valid_or_none(out) is not None:
+        if out is not None:
             return out
     return tree
 

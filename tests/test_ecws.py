@@ -326,6 +326,49 @@ def test_every_parse_error_has_a_position(text, position, fragment):
     assert fragment in str(err.value)
 
 
+_TOO_DEEP = "# too deep\n\n" + nested_and(MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize(
+    "text, cls, message, position",
+    [
+        # an illegal character after a comment that holds one
+        ("p1 t1 # a $ in a comment\np2 t2\n  p3 $ t3 p4\n",
+         LexError, "illegal character '$'", (3, 6)),
+        # an illegal character wins over a reader error before it
+        ("p1 t1 p2 ) t2\np3 t3\np4 $ p5\n", LexError, "illegal character '$'", (3, 4)),
+        (_TOO_DEEP + "\n$", LexError, "illegal character '$'", (4, 1)),
+        ("p1 t1 p2 ) # a $ in a comment\n", ParseError, "unexpected ')' after the net", (1, 10)),
+        ("p1 t1\r\np2 $", LexError, "illegal character '$'", (2, 4)),
+        ("\n# only a comment\n  ", LexError, "empty input", (3, 3)),
+        # errors of the bracket reader
+        ("p1 t1 (p2 t2 p3)\n(p4 t3 p5\n# trailing comment\n",
+         ParseError, "expected ')', got end of input", (4, 1)),
+        (_TOO_DEEP, ParseError, f"bracket nesting deeper than {MAX_NESTING} levels",
+         (3, _TOO_DEEP.index("(z)") - _TOO_DEEP.rindex("\n"))),
+        ("p1 t1\n{p2}{t2}{t3} t4 p3", ParseError, "a loop block needs a forward and a back part",
+         (2, 1)),
+        ("p1 t1 p2\n)", ParseError, "unexpected ')' after the net", (2, 1)),
+        ("p1 t1 (p2\n t2 p3] t3 p4", ParseError, "expected ')', got ']'", (2, 7)),
+        # errors of the shape check
+        ("p1 t1\n(p2)(p3)\n  [t2][t3] p4\n",
+         ParseError, "choice block must be preceded by a place", (3, 3)),
+        ("p1 t1 p2\nt2 p3\n  t3 p1\n",
+         DuplicateLabelError, "label 'p1' occurs more than once", (3, 6)),
+        ("p1 t1 p2\n\n t2", ParseError, "unexpected 't2' after the net", (3, 2)),
+        ("p1 t1\n()(p2) t2 p3", ParseError, "empty sequence", (2, 1)),
+        ("p1\n[(p2)(p3)][t1] p4",
+         ParseError, "expected a transition label, got parallel block", (2, 2)),
+    ],
+)
+def test_error_positions_on_multi_line_input(text, cls, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert type(err.value) is cls
+    assert err.value.message == message
+    assert (err.value.line, err.value.col) == position
+
+
 def test_end_of_input_is_after_a_trailing_comment():
     # the reference lexer left the end-of-input column at the '#'
     assert tokenize("p1 # note")[-1] == ("eof", "", 1, 10)

@@ -85,6 +85,17 @@ def test_mutate_always_returns_valid_tree():
         validate_tree(out)
 
 
+def test_every_mutate_output_is_valid():
+    # mutate checks no output itself: the structural mutations are checked
+    # where they splice, and the relabellings keep the tree's shape
+    for seed in range(600):
+        rng = random.Random(seed)
+        old, new = random_net_pair(rng, 5, 30)
+        for tree in (new, mutate(old, rng), mutate(new, rng)):
+            validate_tree(tree)
+            build_net(tree)
+
+
 def test_insert_then_remove_changes_place_count():
     rng = random.Random(3)
     tree = parse("p1t1p2t2p3")
