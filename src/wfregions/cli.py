@@ -8,8 +8,9 @@ marking-generation-set renderings), and a reproducible ``fuzz`` loop for
 random agreement testing.
 
 Exit codes: 0 success, 2 parse/usage error, 3 malformed, unreachable or
-unknown-place marking, 4 state-space cap exceeded, 141 closed output pipe,
-1 internal error.  JSON output is byte-stable: keys and arrays are sorted.
+unknown-place marking or an unknown gcs place, 4 state-space cap exceeded,
+141 closed output pipe, 1 internal error.  JSON output is byte-stable: keys
+and arrays are sorted.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .randomnets import check_pair_agreement, oracle_mismatches, random_net_pair, shrink_pair
 from .regions import Decision, analyze, decide_marking, report_json
-from .sese import region_json, sese_region
+from .sese import sese_region
 from .wfnet import (
     DEFAULT_STATE_CAP,
     WfNet,

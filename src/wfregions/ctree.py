@@ -9,12 +9,13 @@ branch.  Sequences, choices, and loops never deepen the tree; only parallel
 blocks do.
 
 On top of the tree this module provides: the set of places concurrent with a
-given place (:func:`gcs`), exhaustive and sampled marking generation,
-deletion of places, the dysfunctionality test (can the tree still generate a
-marking?), break-off sets (place sets hitting every marking), and one exact
-inclusion test (:func:`mpe_exists`) that decides whether every marking one
-tree generates is also generable by another.  Membership of one marking
-(:func:`generates`) is that test on the marking's own tree.
+given place (:func:`gcs`), one marking drawn at random
+(:func:`sample_marking`), deletion of places, break-off sets (place sets
+hitting every marking: deleting them leaves a tree whose ``generable`` fact
+is false), and one exact inclusion test (:func:`mpe_exists`) that decides
+whether every marking one tree generates is also generable by another.
+Membership of one marking (:func:`generates`) is that test on the marking's
+own tree.
 
 No function here recurses: each walk keeps its pending work on an explicit
 stack, so no nesting depth exhausts Python's call stack.
@@ -291,36 +292,10 @@ def gcs(p: str, c: CTree) -> CTree:
 # ── marking generation ──────────────────────────────────────────────────────
 
 
-def markings_of(c: CTree) -> frozenset[Marking]:
-    """Every complete marking the tree generates.
-
-    A marking picks one element of the node; a block element contributes one
-    complete sub-marking from each of its branches.  A node with no pickable
-    element generates nothing at all.
-    """
-
-    def generate(node: CNode) -> Generator[CNode, frozenset[Marking], frozenset[Marking]]:
-        out: set[Marking] = set()
-        for el in node.elements:
-            if isinstance(el, str):
-                out.add(frozenset((el,)))
-            else:
-                combos: set[frozenset[str]] = {frozenset()}
-                for branch in el.branches:
-                    sub = yield branch
-                    combos = {m | s for m in combos for s in sub}
-                    if not combos:
-                        break
-                out.update(combos)
-        return frozenset(out)
-
-    return _drive(generate, c)
-
-
 def sample_marking(c: CTree, rng: random.Random | None = None) -> Marking:
     """Draw one marking at random; raises ValueError on a dysfunctional tree."""
     rng = rng or random.Random()
-    if is_dysfunctional(c):
+    if not c.generable:
         raise ValueError("the tree generates no markings")
 
     def draw(node: CNode) -> Generator[CNode, Marking, Marking]:
@@ -344,7 +319,7 @@ def generates(c: CTree, m: Marking) -> bool:
     return mpe_exists(CNode((CBlock(tuple(CNode((p,)) for p in m)),)), c)
 
 
-# ── deletion, dysfunctionality, break-off ───────────────────────────────────
+# ── deletion, break-off ─────────────────────────────────────────────────────
 
 
 def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
@@ -375,15 +350,10 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
     return _drive(rebuild, c)
 
 
-def is_dysfunctional(c: CTree) -> bool:
-    """True iff the tree generates no marking at all."""
-    return not c.generable
-
-
 def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
     """True iff every marking of the tree meets ``labels`` (equivalently:
     deleting them leaves the tree unable to generate any marking)."""
-    return is_dysfunctional(delete_places(c, labels))
+    return not delete_places(c, labels).generable
 
 
 def _drive(step: Callable[[CNode], Generator], root: CNode) -> Any:

@@ -21,10 +21,11 @@ matches, building the tree as it goes.  It works out a line and column only
 when it raises: a shape error makes it read the text once more, noting where
 each element starts.  Only ``validate_tree`` checks that each label scans as
 one, since a parsed label does so by construction.  ``format_tree`` prints
-the canonical separator-free text, and ``build_net`` wires the tree into a
-:class:`~wfregions.wfnet.WfNet`.  ``branches_of`` is the one place that
-knows how each kind of block holds its sequences; ``walk``, ``seq_at`` and
-``edit_seq`` visit, find and rebuild sequences by their :data:`SeqPath`.
+the canonical separator-free text, and ``build_net`` checks a tree with
+``validate_tree`` and wires it into a :class:`~wfregions.wfnet.WfNet`.
+``branches_of`` is the one place that knows how each kind of block holds its
+sequences; ``walk``, ``seq_at`` and ``edit_seq`` visit, find and rebuild
+sequences by their :data:`SeqPath`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import DuplicateLabelError, LexError, ParseError, SoundnessError
+from .errors import DuplicateLabelError, LexError, ParseError
 from .wfnet import Marking, WfNet
 
 # ── block tree ──────────────────────────────────────────────────────────────
@@ -173,41 +173,9 @@ def edit_seq(
 _LABEL = re.compile(r"[^\W\d](?:[\d_]|(?<!\d)\w)*")
 
 #: Separators (whitespace, commas, a ``#`` comment to the end of the line),
-#: then a label, a bracket, an illegal character, or the end of the string
-#: (the whole text in ``parse``, one line in ``tokenize``).  One of the four
-#: always matches after the separators, so none backtracks.
+#: then a label, a bracket, an illegal character, or the end of the text.
+#: One of the four always matches after the separators, so none backtracks.
 _TOKEN = re.compile(rf"(?:[\s,]|#.*)*(?:({_LABEL.pattern})|([()\[\]{{}}])|(.)|\Z)")
-
-
-class Token(NamedTuple):
-    kind: str  # "ident", one of "()[]{}", or "eof"
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split ECWS text into labels and brackets, closed by an "eof" token.
-
-    Raises LexError on an illegal character or when the input holds no
-    tokens at all.  This is a view with positions for callers and tests;
-    :func:`parse` reads the scanner's matches itself and makes no tokens.
-    """
-    tokens: list[Token] = []
-    for line, chars in enumerate(text.split("\n"), 1):
-        for m in _TOKEN.finditer(chars):
-            group = m.lastindex
-            if group == 1:
-                tokens.append(Token("ident", m[1], line, m.start(1) + 1))
-            elif group == 2:
-                tokens.append(Token(m[2], m[2], line, m.start(2) + 1))
-            elif group == 3:
-                raise LexError(f"illegal character {m[3]!r}", line, m.start(3) + 1)
-    end = Token("eof", "", line, len(chars) + 1)
-    if not tokens:
-        raise LexError("empty input", end.line, end.col)
-    tokens.append(end)
-    return tokens
 
 
 def parse_marking(text: str) -> Marking:
@@ -436,12 +404,6 @@ def place_labels(tree: BlockTree) -> frozenset[str]:
     return frozenset(leaf.label for leaf in _leaves(tree) if isinstance(leaf, Place))
 
 
-def transition_labels(tree: BlockTree) -> frozenset[str]:
-    return frozenset(
-        leaf.label for leaf in _leaves(tree) if isinstance(leaf, Transition)
-    )
-
-
 # ── canonical text ──────────────────────────────────────────────────────────
 
 
@@ -489,15 +451,19 @@ def format_tree(tree: BlockTree) -> str:
 
 
 def build_net(tree: BlockTree) -> WfNet:
-    """Wire a validated block tree into a workflow net.
+    """Validate a block tree (see :func:`validate_tree`, whose errors it
+    raises) and wire it into a workflow net.
 
     Adjacent sequence elements are connected exit-to-entry.  A parallel
     block's entries are the first places of its branches (fed by the fork)
     and its exits the last places (feeding the join); a choice block's
     entries and exits are its branches' border transitions; a loop is
     entered and left through the first and last place of its forward part,
-    with two extra arcs closing the cycle through the back part.
+    with two extra arcs closing the cycle through the back part.  A valid
+    tree gives a net whose source has no incoming and whose sink no outgoing
+    arc, with every node on a path from the source to the sink.
     """
+    validate_tree(tree)
     places: set[str] = set()
     transitions: set[str] = set()
     arcs: set[tuple[str, str]] = set()
@@ -526,17 +492,13 @@ def build_net(tree: BlockTree) -> WfNet:
                 arcs.add((_last_label(child.forward), _first_label(child.back)))
                 arcs.add((_last_label(child.back), _first_label(child.forward)))
 
-    init = _first_label(tree)
-    end = _last_label(tree)
-    net = WfNet(
+    return WfNet(
         places=frozenset(places),
         transitions=frozenset(transitions),
         arcs=frozenset(arcs),
-        init=init,
-        end=end,
+        init=_first_label(tree),
+        end=_last_label(tree),
     )
-    _check_structure(net)
-    return net
 
 
 def _gates(block: Element) -> tuple[SeqBlock, ...]:
@@ -554,33 +516,3 @@ def _last_label(seq: SeqBlock) -> str:
     last = seq.children[-1]
     assert isinstance(last, (Place, Transition))
     return last.label
-
-
-def _check_structure(net: WfNet) -> None:
-    """Source/sink arc direction plus connectedness of every node."""
-    if any(dst == net.init for _, dst in net.arcs):
-        raise SoundnessError("the source place has an incoming arc")
-    if any(src == net.end for src, _ in net.arcs):
-        raise SoundnessError("the sink place has an outgoing arc")
-    nodes = net.places | net.transitions
-    forward: dict[str, set[str]] = {n: set() for n in nodes}
-    backward: dict[str, set[str]] = {n: set() for n in nodes}
-    for src, dst in net.arcs:
-        forward[src].add(dst)
-        backward[dst].add(src)
-
-    def closure(start: str, edges: dict[str, set[str]]) -> set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in edges[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    stranded = nodes - (closure(net.init, forward) & closure(net.end, backward))
-    if stranded:
-        raise SoundnessError(
-            f"nodes not on a source-to-sink path: {', '.join(sorted(stranded))}"
-        )

@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterator
 
-from .ctree import build_ctree
 from .ecws import (
     AndBlock,
     BlockTree,
@@ -156,12 +155,11 @@ def _splice(
     tree: BlockTree, path: SeqPath, lo: int, hi: int, replacement: tuple[Element, ...]
 ) -> BlockTree | None:
     """The tree with ``children[lo:hi + 1]`` of the sequence at ``path``
-    replaced (``hi = lo - 1`` inserts before ``lo``), or None if the result
-    breaks a grammar rule."""
+    replaced (``hi = lo - 1`` inserts before ``lo``), or None if
+    :func:`~wfregions.ecws.validate_tree` rejects the result."""
     out = edit_seq(tree, path, lambda seq: (*seq[:lo], *replacement, *seq[hi + 1 :]))
     try:
         validate_tree(out)
-        build_net(out)
     except ParseError:
         return None
     return out

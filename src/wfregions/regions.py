@@ -105,18 +105,6 @@ def _reformed(p: str, c: CTree, c2: CTree) -> tuple[bool, bool]:
     return True, is_breakoff(g, lost) or is_breakoff(g2, gained)
 
 
-def member_sets(cs: ChangeSets) -> tuple[frozenset[str], frozenset[str]]:
-    """Split the classified places into (overestimated, perfect members)."""
-    over = cs.cr_wrc - cs.cr_src
-    perf = cs.cr_r | cs.cr_lc | cs.cr_ac | cs.cr_src
-    return over, perf
-
-
-def scr(over: frozenset[str], perf: frozenset[str]) -> frozenset[str]:
-    """The structural change region: all places of non-migratable markings."""
-    return over | perf
-
-
 def pscr_exists(
     c: CTree, c2: CTree, over: frozenset[str], perf: frozenset[str]
 ) -> bool:
@@ -139,8 +127,9 @@ def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
     c = build_ctree(old)
     c2 = build_ctree(new, like=c)
     cs = change_sets(c, c2)
-    over, perf = member_sets(cs)
-    region = scr(over, perf)
+    # overestimated places and perfect members; together they are the SCR
+    over = cs.cr_wrc - cs.cr_src
+    perf = cs.cr_r | cs.cr_lc | cs.cr_ac | cs.cr_src
     exists = pscr_exists(c, c2, over, perf)
     classes = dict.fromkeys(over, MemberClass.OVERESTIMATION)
     classes.update(dict.fromkeys(perf, MemberClass.PERFECT_MEMBER))
@@ -149,7 +138,7 @@ def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
         change_sets=cs,
         over=over,
         perf=perf,
-        scr=region,
+        scr=over | perf,
         pscr_exists=exists,
         pscr=perf if exists else None,
         per_place=per_place,

@@ -123,14 +123,6 @@ def sese_region(old_tree: BlockTree, old: WfNet, new: WfNet) -> SeseRegion:
     return SeseRegion(static, dynamic, improved)
 
 
-def region_json(region: SeseRegion) -> dict:
-    return {
-        "static": sorted(region.static_nodes),
-        "dynamic": sorted(region.dynamic_places),
-        "improved": sorted(region.improved_places),
-    }
-
-
 # ── fragment expansion machinery ────────────────────────────────────────────
 
 

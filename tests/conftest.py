@@ -17,7 +17,7 @@ from wfregions import (
     parse,
     random_net_pair,
 )
-from wfregions.ecws import tokenize
+from wfregions.ecws import edit_seq, walk
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,11 +55,19 @@ def deep_tree(depth: int, core: tuple = (Place("z"),)) -> SeqBlock:
     return seq
 
 
-def prefixed(text: str, prefix: str) -> str:
-    return " ".join(
-        prefix + tok.text if tok.kind == "ident" else tok.text
-        for tok in tokenize(text)[:-1]
-    )
+def prefixed(tree: BlockTree, prefix: str) -> str:
+    """The text of ``tree`` with ``prefix`` put before every label."""
+
+    def relabel(children: tuple) -> tuple:
+        return tuple(
+            type(el)(prefix + el.label) if isinstance(el, (Place, Transition)) else el
+            for el in children
+        )
+
+    # relabelling keeps every sequence at its path
+    for path, _ in list(walk(tree)):
+        tree = edit_seq(tree, path, relabel)
+    return format_tree(tree)
 
 
 def composed_pair(seed: int, chunks: int = 6, changed: tuple[int, int] | None = None):
@@ -74,7 +82,7 @@ def composed_pair(seed: int, chunks: int = 6, changed: tuple[int, int] | None = 
             branches = ""
             for i, pair in enumerate(segments):
                 version = side if changed in (None, (k, i)) else 0
-                branches += "(" + prefixed(format_tree(pair[version]), f"s{k}{i}_") + ")"
+                branches += "(" + prefixed(pair[version], f"s{k}{i}_") + ")"
             texts[side] += f" a{k} {branches} b{k} w{k + 1}"
     return parse(texts[0]), parse(texts[1])
 

@@ -20,7 +20,6 @@ from wfregions import (
     decide_marking,
     format_tree,
     is_breakoff,
-    markings_of,
     mgs_text,
     mpe_exists,
     oracle_classify,
@@ -32,6 +31,7 @@ from wfregions import (
 from wfregions.cli import compare_rows
 
 from conftest import fixture_pair, load_fixture
+from ctree_reference import markings_of
 
 CAPTION_STRINGS = [
     "p1t1p2t2p3t3p4",

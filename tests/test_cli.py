@@ -228,6 +228,13 @@ def test_export_gcs_needs_place(capsys):
     assert "needs a place label" in err
 
 
+def test_export_gcs_of_an_unknown_place_exits_3(capsys):
+    code, out, err = run(capsys, "export", fx("nested"), "--what", "gcs", "nope")
+    assert code == 3
+    assert out == ""
+    assert err == "error: place 'nope' does not occur in the tree\n"
+
+
 def test_export_net_dot(capsys):
     code, out, _ = run(capsys, "export", fx("xorloop_old"), "--what", "net")
     assert code == 0

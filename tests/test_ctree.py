@@ -20,8 +20,6 @@ from wfregions import (
     gcs,
     generates,
     is_breakoff,
-    is_dysfunctional,
-    markings_of,
     mgs_text,
     mpe_exists,
     parse,
@@ -34,6 +32,7 @@ from wfregions.ctree import _block_holding
 from wfregions.randomnets import mutate_transpose_places
 
 from conftest import composed_pair, deep_tree, load_fixture
+from ctree_reference import markings_of
 
 PARALLEL = "p1t1(p2t2p3)(p4t3p5)t4p6"
 BREAKOFF = frozenset("p1 p2 p3 p4 p6 p8 p9 p12".split())
@@ -154,7 +153,7 @@ def test_sample_marking_draws_as_the_filtered_draw():
         rng = random.Random(s)
         for _ in range(10):
             d = delete_places(c, set(rng.sample(sorted(places(c)), len(places(c)) // 4)))
-            if not is_dysfunctional(d):
+            if d.generable:
                 residues.append(d)
     dead = [d for d in residues if any(not b.generable for n in _nodes(d) for b in n.blocks)]
     assert len(dead) >= 20
@@ -185,14 +184,14 @@ def test_delete_keeps_structure():
 def test_emptied_tree_is_dysfunctional():
     c = build_ctree(parse(PARALLEL))
     d = delete_places(c, {"p1", "p6", "p2", "p3"})
-    assert is_dysfunctional(d)
+    assert not d.generable
     assert markings_of(d) == frozenset()
 
 
 def test_partial_deletion_stays_functional():
     c = build_ctree(parse(PARALLEL))
     d = delete_places(c, {"p1", "p6", "p2"})
-    assert not is_dysfunctional(d)
+    assert d.generable
     assert markings_of(d) == {frozenset({"p3", "p4"}), frozenset({"p3", "p5"})}
 
 
@@ -383,7 +382,7 @@ def test_breakoff_iff_hitting_set(seed, data):
 def test_dysfunctional_iff_no_markings(seed, data):
     c = _tree(seed)
     d = delete_places(c, _subset(data, places(c), "s"))
-    assert is_dysfunctional(d) == (not markings_of(d))
+    assert d.generable == bool(markings_of(d))
 
 
 @settings(max_examples=80, deadline=None)

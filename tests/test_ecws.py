@@ -23,7 +23,6 @@ from wfregions import (
     place_labels,
     mutate,
     random_tree,
-    transition_labels,
     validate_tree,
 )
 from wfregions.ecws import (
@@ -31,11 +30,10 @@ from wfregions.ecws import (
     edit_seq,
     iter_labels,
     seq_at,
-    tokenize,
     walk,
 )
 
-from conftest import deep_tree, load_fixture, nested_and
+from conftest import FIXTURES, deep_tree, load_fixture, nested_and
 from ecws_reference import reference_parse, reference_tokenize
 
 # The six showcase strings: a plain sequence, a fork-join in a sequence, a
@@ -58,25 +56,22 @@ CANONICAL = [
 # ── lexer ────────────────────────────────────────────────────────────────────
 
 
+def _labels(text: str) -> list[str]:
+    return list(iter_labels(parse(text)))
+
+
 def test_tokens_split_only_at_digit_letter_boundary():
-    assert [t.text for t in tokenize("p1t1p2")][:-1] == ["p1", "t1", "p2"]
-    assert [t.text for t in tokenize("ab2cd")][:-1] == ["ab2", "cd"]
-    # underscores glue a token together, digits alone do not end one
-    assert [t.text for t in tokenize("p_t7")][:-1] == ["p_t7"]
-    assert [t.text for t in tokenize("p10")][:-1] == ["p10"]
+    assert _labels("p1t1p2") == ["p1", "t1", "p2"]
+    assert _labels("ab2cd e") == ["ab2", "cd", "e"]
+    # underscores glue a label together, digits alone do not end one
+    assert _labels("p_t7") == ["p_t7"]
+    assert _labels("p10") == ["p10"]
 
 
 def test_whitespace_commas_and_comments_are_separators():
     plain = parse("p1t1p2t2p3t3p4")
     spaced = parse("p1 t1 p2,\n t2 p3 # mid-line note\n t3 p4")
     assert spaced == plain
-
-
-def test_token_positions():
-    tok = tokenize("p1 (x1")
-    assert (tok[0].line, tok[0].col) == (1, 1)
-    assert (tok[1].kind, tok[1].col) == ("(", 4)
-    assert (tok[2].text, tok[2].col) == ("x1", 5)
 
 
 def test_lex_errors():
@@ -371,7 +366,10 @@ def test_error_positions_on_multi_line_input(text, cls, message, position):
 
 def test_end_of_input_is_after_a_trailing_comment():
     # the reference lexer left the end-of-input column at the '#'
-    assert tokenize("p1 # note")[-1] == ("eof", "", 1, 10)
+    with pytest.raises(ParseError) as err:
+        parse("p1 t1 (p2 # note")
+    assert err.value.message == "expected ')', got end of input"
+    assert (err.value.line, err.value.col) == (1, 17)
     with pytest.raises(LexError) as err:
         parse("  # note")
     assert (err.value.line, err.value.col) == (1, 9)
@@ -380,7 +378,7 @@ def test_end_of_input_is_after_a_trailing_comment():
 def test_non_decimal_numerals_scan_as_letters():
     # ``re`` parts letters from digits by decimal digits only, where the
     # reference lexer used str.isalpha and str.isdigit
-    assert [t.text for t in tokenize("²1 p½ Ⅻ p1²")][:-1] == ["²1", "p½", "Ⅻ", "p1", "²"]
+    assert _labels("²1 p½ Ⅻ p1²") == ["²1", "p½", "Ⅻ", "p1", "²"]
     tree = SeqBlock((Place("p1"), Transition("²"), Place("Ⅻ1"), Transition("t½"), Place("q")))
     assert format_tree(tree) == "p1²,Ⅻ1t½,q"
     assert parse(format_tree(tree)) == tree
@@ -398,7 +396,7 @@ def test_validate_tree_rejects_labels_that_do_not_scan_as_one():
 def test_label_sets():
     tree = parse("p1t1{p2t2p3}{t3}t4p4")
     assert place_labels(tree) == {"p1", "p2", "p3", "p4"}
-    assert transition_labels(tree) == {"t1", "t2", "t3", "t4"}
+    assert set(iter_labels(tree)) - place_labels(tree) == {"t1", "t2", "t3", "t4"}
 
 
 # ── sequence walk ────────────────────────────────────────────────────────────
@@ -453,10 +451,10 @@ def test_deep_tree_needs_no_recursion():
     assert sum(1 for _ in walk(tree)) == 2 * depth + 1
     places = place_labels(tree)
     assert len(places) == 1 + 2 * depth + len(range(0, depth, 3))
-    assert len(list(iter_labels(tree))) == len(places) + len(transition_labels(tree))
     validate_tree(tree)
     net = build_net(tree)
     assert net.places == places
+    assert len(list(iter_labels(tree))) == len(places) + len(net.transitions)
     assert (net.init, net.end) == ("a0", "f0")
 
 
@@ -488,3 +486,55 @@ def test_build_net_loop():
 def test_build_net_choice():
     net = build_net(parse("p1[t1p2t2][t3p3t4]p4"))
     assert {("p1", "t1"), ("p1", "t3"), ("t2", "p4"), ("t4", "p4")} <= net.arcs
+
+
+def test_build_net_rejects_invalid_trees_built_in_code():
+    # a transition shared by two branches would become one transition with
+    # pre-set {p2, p4} and post-set {p3, p5}
+    shared = SeqBlock((
+        Place("p1"), Transition("t1"),
+        AndBlock((
+            SeqBlock((Place("p2"), Transition("t2"), Place("p3"))),
+            SeqBlock((Place("p4"), Transition("t2"), Place("p5"))),
+        )),
+        Transition("t3"), Place("p6"),
+    ))
+    with pytest.raises(DuplicateLabelError, match="'t2'"):
+        build_net(shared)
+    one_branch = SeqBlock((
+        Place("p1"), Transition("t1"), AndBlock((SeqBlock((Place("p2"),)),)),
+        Transition("t2"), Place("p3"),
+    ))
+    with pytest.raises(ParseError, match="at least 2 branches"):
+        build_net(one_branch)
+
+
+def _assert_wired_from_source_to_sink(net) -> None:
+    """No arc enters the source or leaves the sink, and every node lies on a
+    path from the source to the sink."""
+    assert all(dst != net.init for _, dst in net.arcs)
+    assert all(src != net.end for src, _ in net.arcs)
+    forward = {n: set() for n in net.places | net.transitions}
+    backward = {n: set() for n in net.places | net.transitions}
+    for src, dst in net.arcs:
+        forward[src].add(dst)
+        backward[dst].add(src)
+
+    def closure(start, edges):
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in edges[stack.pop()] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        return seen
+
+    on_paths = closure(net.init, forward) & closure(net.end, backward)
+    assert on_paths == net.places | net.transitions
+
+
+def test_valid_trees_wire_every_node_from_source_to_sink(corpus):
+    trees = [tree for pair in corpus for tree in pair]
+    trees += [load_fixture(path.stem) for path in sorted(FIXTURES.glob("*.ecws"))]
+    trees.append(deep_tree(1200))
+    for tree in trees:
+        _assert_wired_from_source_to_sink(build_net(tree))

@@ -28,7 +28,6 @@ from wfregions import (
     gcs,
     is_breakoff,
     marking_text,
-    member_sets,
     mpe_exists,
     oracle_classify,
     parse,
@@ -94,11 +93,9 @@ def test_branch_swap_sets():
 
 
 def test_member_sets_split():
-    old, new = fixture_pair("claims_old", "claims_new")
-    cs = change_sets(build_ctree(old), build_ctree(new))
-    over, perf = member_sets(cs)
-    assert over == {"u1", "u2", "u3"}
-    assert perf == {"PC_enabled", "PC"}
+    _, _, report = analyzed("claims_old", "claims_new")
+    assert report.over == {"u1", "u2", "u3"}
+    assert report.perf == {"PC_enabled", "PC"}
 
 
 # ── change_sets against the per-place reference ─────────────────────────────
@@ -264,8 +261,8 @@ def test_training_region():
 def test_existence_trivially_true_without_overestimation():
     old, new = fixture_pair("parallel_old", "removal_new")
     c, c2 = build_ctree(old), build_ctree(new)
-    cs = change_sets(c, c2)
-    over, perf = member_sets(cs)
+    report = analyze(old, new)
+    over, perf = report.over, report.perf
     assert not over
     assert pscr_exists(c, c2, over, perf) is True
 
@@ -295,7 +292,8 @@ def test_existence_via_surviving_tree_embedding():
     # embedding of the surviving trees settles it
     old, new = fixture_pair("claims_old", "claims_new")
     c, c2 = build_ctree(old), build_ctree(new)
-    over, perf = member_sets(change_sets(c, c2))
+    report = analyze(old, new)
+    over, perf = report.over, report.perf
     assert over and perf
     assert not is_breakoff(c, perf)
     assert not is_breakoff(c2, perf)
@@ -306,7 +304,8 @@ def test_existence_via_surviving_tree_embedding():
 def test_existence_denied_for_branch_swap():
     old, new = fixture_pair("parallel_old", "branchswap_new")
     c, c2 = build_ctree(old), build_ctree(new)
-    over, perf = member_sets(change_sets(c, c2))
+    report = analyze(old, new)
+    over, perf = report.over, report.perf
     assert over == {"p2", "p3", "p4", "p5"} and perf == frozenset()
     assert pscr_exists(c, c2, over, perf) is False
 

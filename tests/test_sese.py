@@ -7,7 +7,6 @@ from wfregions import (
     build_net,
     dynamic_region,
     improved_region,
-    region_json,
     sese_region,
     static_region,
 )
@@ -76,13 +75,3 @@ def test_pipeline_steps_compose():
     assert (reg.static_nodes, reg.dynamic_places, reg.improved_places) == (
         static, dynamic, improved_region(old, dynamic)
     )
-
-
-def test_region_json_sorted():
-    reg = regions_for("xorloop_old", "xorloop_new")
-    payload = region_json(reg)
-    assert payload == {
-        "static": ["p1", "p2", "p3", "p4", "t2", "t3"],
-        "dynamic": ["p1", "p2", "p3", "p4"],
-        "improved": ["p2", "p3"],
-    }
