@@ -3,6 +3,7 @@ break-off sets, and the exact marking-inclusion test."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from wfregions import (
     build_net,
     ctree_dot,
     delete_places,
+    format_tree,
     gcs,
     generates,
     is_breakoff,
@@ -24,6 +26,7 @@ from wfregions import (
     mpe_exists,
     parse,
     places,
+    random_net_pair,
     random_tree,
     reachable_markings,
     sample_marking,
@@ -341,6 +344,34 @@ def test_no_embedding_when_branch_counts_differ():
     three = build_ctree(parse("p1t1(p2t2p3)(p4t3p5)(p7t5p8)t4p6"))
     assert not mpe_exists(two, three)
     assert not (markings_of(two) <= markings_of(three))
+
+
+# ── pinned outputs ───────────────────────────────────────────────────────────
+
+
+def test_tree_outputs_are_pinned():
+    # the printed text, both renderings and the place order of every C-tree,
+    # the new one also built like the old one's, as analyze builds it
+    pairs = [random_net_pair(random.Random(seed), 6, 30) for seed in range(2000)]
+    pairs += [composed_pair(seed) for seed in range(10)]
+    digests = {name: hashlib.sha256() for name in ("text", "mgs", "dot", "order")}
+    for old, new in pairs:
+        c = build_ctree(old)
+        for tree in (old, new):
+            digests["text"].update((format_tree(tree) + "\n").encode())
+        for ctree in (c, build_ctree(new), build_ctree(new, like=c)):
+            digests["mgs"].update((mgs_text(ctree) + "\n").encode())
+            digests["dot"].update((ctree_dot(ctree) + "\n").encode())
+            digests["order"].update((" ".join(ctree.place_index) + "\n").encode())
+    assert {name: d.hexdigest() for name, d in digests.items()} == PINNED_TREE_OUTPUTS
+
+
+PINNED_TREE_OUTPUTS = {
+    "text": "728211c3ee4ee4d1e1dd02f58c7a949e154ebc1132b931d8f14d27d623e152f8",
+    "mgs": "0466c7c98f6b10eca9e7f854dba7ef5f8babbeb4e697880d17040391b53efa13",
+    "dot": "300860c2b36c3c20668d85ee4cfa294f8108730db1dfe633a518cf74f0bffbd3",
+    "order": "e1a530cf04f17dcceab939f79fe8f3e80b313a5fa774ce7bd319cbe8816fd322",
+}
 
 
 # ── properties on random trees ───────────────────────────────────────────────
