@@ -54,7 +54,8 @@ def _load(path: str) -> BlockTree:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: cannot read byte {exc.start}: not UTF-8 text") from exc
     try:
-        return parse(text)
+        # a byte-order mark goes after decoding, so decode errors name file offsets
+        return parse(text.removeprefix("\ufeff"))
     except ParseError as exc:
         # every parse error carries its line and column: "path:line:col: ..."
         raise type(exc)(f"{path}:{exc}") from exc

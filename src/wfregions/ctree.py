@@ -17,8 +17,9 @@ whether every marking one tree generates is also generable by another.
 Membership of one marking (:func:`generates`) is that test on the marking's
 own tree.
 
-No function here recurses: each walk keeps its pending work on an explicit
-stack, so no nesting depth exhausts Python's call stack.
+No function here recurses.  Every fold (building, place sets, sampling,
+deletion, rendering) is a generator run by ``ecws._drive``, and every visit
+of the nodes with their routes reads one preorder, :func:`_preorder`.
 
 The new net's tree can be built like the old one's, through an intern table
 (:func:`build_ctree`), so the two share every subtree they have in common,
@@ -31,12 +32,11 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from collections.abc import Callable, Generator, Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
 
-from .ecws import AndBlock, BlockTree, Element, Place, Transition, branches_of
+from .ecws import AndBlock, BlockTree, Place, SeqBlock, Transition, _drive, branches_of
 from .errors import UnknownPlaceError
 from .wfnet import Marking
 
@@ -71,18 +71,20 @@ class CNode:
 
     @cached_property
     def place_set(self) -> frozenset[str]:
-        """Every place that some marking of this node holds, in one walk that
-        reuses the sets already known below."""
-        out: set[str] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if "place_set" in node.__dict__:
-                out |= node.place_set
-            else:
-                out |= node.own_places
-                stack += [branch for b in node.live_blocks for branch in b.branches]
-        return frozenset(out)
+        """Every place that some marking of this node holds.  One fold fills
+        the set of every node below that has none yet, bottom-up."""
+
+        def fold(node: CNode) -> Generator[CNode, frozenset[str], frozenset[str]]:
+            facts = node.__dict__
+            if "place_set" not in facts:
+                out = set(node.own_places)
+                for block in node.live_blocks:
+                    for branch in block.branches:
+                        out |= yield branch
+                facts["place_set"] = frozenset(out)
+            return facts["place_set"]
+
+        return _drive(fold, self)
 
     @cached_property
     def place_index(self) -> dict[str, "Route"]:
@@ -93,15 +95,10 @@ class CNode:
         its first node in walk order (own places before blocks).
         """
         index: dict[str, Route] = {}
-        stack: list[tuple[CNode, Route]] = [(self, ())]
-        while stack:
-            node, route = stack.pop()
+        for node, route in _preorder(self):
             for el in node.elements:
                 if isinstance(el, str):
                     index.setdefault(el, route)
-            for block in reversed(node.blocks):
-                for i in reversed(range(len(block.branches))):
-                    stack.append((block.branches[i], (*route, (block, i))))
         return index
 
     @cached_property
@@ -131,6 +128,7 @@ class CBlock:
         """The block as a flat product: a branch holding nothing but one live
         block stands for that block's factors."""
         out: list[CNode] = []
+        # an own stack, as the walk stops at each node that is not a connector
         stack = list(reversed(self.branches))
         while stack:
             node = stack.pop()
@@ -158,6 +156,18 @@ CTree = CNode
 Route = tuple[tuple[CBlock, int], ...]
 
 
+def _preorder(c: CTree) -> Iterator[tuple[CNode, Route]]:
+    """Every node of the tree with its route, in preorder: a node comes
+    before its blocks' branches, blocks and branches in order."""
+    stack: list[tuple[CNode, Route]] = [(c, ())]
+    while stack:
+        node, route = stack.pop()
+        yield node, route
+        for block in reversed(node.blocks):
+            for i in range(len(block.branches) - 1, -1, -1):
+                stack.append((block.branches[i], (*route, (block, i))))
+
+
 # ── construction ────────────────────────────────────────────────────────────
 
 
@@ -166,8 +176,8 @@ def build_ctree(tree: BlockTree, like: CTree | None = None) -> CTree:
 
     Places of sequences, choice branches, and both loop parts all land in the
     same node; each parallel block becomes a CBlock element with one branch
-    node per parallel branch.  One pass over an explicit stack builds every
-    node after its children, so no nesting depth exhausts the call stack.
+    node per parallel branch.  One fold over the sequences builds every node
+    after its children.
 
     Given ``like`` (say, the old net's tree when building the new one's),
     every node and block goes through one intern table that starts with all
@@ -182,29 +192,25 @@ def build_ctree(tree: BlockTree, like: CTree | None = None) -> CTree:
     else:
         table = _Interner(like)
         node, block = table.node, table.block
-    root: list[str | CBlock] = []
-    # a sequence's unread children, or a parallel block's branch element
-    # lists once all are read; each with the list that receives its yield
-    stack: list[tuple[Iterator[Element] | list, list]] = [(iter(tree.children), root)]
-    while stack:
-        todo, out = stack.pop()
-        if isinstance(todo, list):
-            out.append(block(tuple([node(tuple(branch)) for branch in todo])))
-            continue
-        for child in todo:
+
+    def elements(seq: SeqBlock) -> Generator[SeqBlock, list, list]:
+        # a sequence's places and blocks, and those of its choices and loops
+        out: list[str | CBlock] = []
+        for child in seq.children:
             kind = child.__class__
             if kind is Place:
                 out.append(child.label)
+            elif kind is AndBlock:
+                branches = []
+                for branch in child.branches:
+                    branches.append(node(tuple((yield branch))))
+                out.append(block(tuple(branches)))
             elif kind is not Transition:
-                stack.append((todo, out))  # resume the sequence after the block
-                if kind is AndBlock:
-                    outs: list[list] = [[] for _ in child.branches]
-                    stack.append((outs, out))
-                    stack += [(iter(b.children), o) for b, o in zip(child.branches, outs)][::-1]
-                else:
-                    stack += [(iter(b.children), out) for b in reversed(branches_of(child))]
-                break
-    return node(tuple(root))
+                for branch in branches_of(child):
+                    out += yield branch
+        return out
+
+    return node(tuple(_drive(elements, tree)))
 
 
 class _Interner:
@@ -220,13 +226,10 @@ class _Interner:
     def __init__(self, like: CTree) -> None:
         self.nodes: dict[tuple[str | int, ...], CNode] = {}
         self.blocks: dict[tuple[int, ...], CBlock] = {}
-        stack = [like]
-        while stack:
-            node = stack.pop()
+        for node, _ in _preorder(like):
             self.nodes.setdefault(_node_key(node.elements), node)
             for block in node.blocks:
                 self.blocks.setdefault(tuple(map(id, block.branches)), block)
-                stack += block.branches
 
     def node(self, elements: tuple[str | CBlock, ...]) -> CNode:
         key = _node_key(elements)
@@ -249,16 +252,7 @@ def _node_key(elements: tuple[str | CBlock, ...]) -> tuple[str | int, ...]:
 
 def places(c: CTree) -> frozenset[str]:
     """All place labels anywhere in the tree."""
-    acc: set[str] = set()
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        for el in node.elements:
-            if isinstance(el, str):
-                acc.add(el)
-            else:
-                stack.extend(el.branches)
-    return frozenset(acc)
+    return frozenset().union(*[node.own_places for node, _ in _preorder(c)])
 
 
 # ── concurrent-submarking generator ─────────────────────────────────────────
@@ -356,26 +350,6 @@ def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
     return not delete_places(c, labels).generable
 
 
-def _drive(step: Callable[[CNode], Generator], root: CNode) -> Any:
-    """Run a recursion over the nodes below ``root`` on an explicit stack.
-
-    ``step(node)`` is a generator: it yields each branch node whose result it
-    needs, is sent that result back, and returns the node's own result.
-    """
-    stack = [step(root)]
-    result = None
-    while stack:
-        try:
-            branch = stack[-1].send(result)
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-        else:
-            stack.append(step(branch))
-            result = None
-    return result
-
-
 # ── exact marking inclusion ─────────────────────────────────────────────────
 
 
@@ -393,6 +367,7 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
     the places its share may hold (``cut``; None: all).  One explicit stack
     holds the open obligations, and the first that fails decides.
     """
+    # an own stack: it holds obligations, which pair nodes of two trees
     todo: list[tuple[list[tuple[CNode, frozenset[str] | None]], CNode]] = [([(c, None)], c2)]
     while todo:
         views, y = todo.pop()

@@ -26,13 +26,17 @@ the canonical separator-free text, and ``build_net`` checks a tree with
 ``branches_of`` is the one place that knows how each kind of block holds its
 sequences; ``walk``, ``seq_at`` and ``edit_seq`` visit, find and rebuild
 sequences by their :data:`SeqPath`.
+Two walkers serve block trees and C-trees alike: a preorder (``walk`` here)
+visits, and ``_drive`` runs a fold, one generator per node; ``format_tree``
+and every fold in ``ctree`` run on it.  Neither recurses.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import DuplicateLabelError, LexError, ParseError
 from .wfnet import Marking, WfNet
@@ -134,6 +138,24 @@ def walk(tree: BlockTree) -> Iterator[tuple[SeqPath, SeqBlock]]:
                     stack.append(((*path, (i, b)), seqs[b]))
 
 
+def _drive(step: Callable[[Any], Generator], root: Any) -> Any:
+    """Run a fold over the nodes below ``root`` on an explicit stack:
+    ``step(node)`` is a generator that yields each child whose result it
+    needs, is sent that result back, and returns the node's own result."""
+    stack = [step(root)]
+    result = None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(step(child))
+            result = None
+    return result
+
+
 def seq_at(tree: BlockTree, path: SeqPath) -> SeqBlock:
     """The sequence at ``path``."""
     seq = tree
@@ -232,6 +254,7 @@ def _read(text: str, at: dict[int, int] | None = None) -> BlockTree:
     one block.  Given ``at``, it receives the offset of every label, block
     and bracketed sequence, for the shape check's errors.
     """
+    # the text, not a tree, drives this loop, so it keeps its own stack
     matches = _TOKEN.finditer(text)
     # the enclosing sequences: children, first slot (1 if a transition's),
     # opening match, and the run of groups that the open group belongs to
@@ -340,7 +363,8 @@ def _validate(tree: BlockTree, scan: bool = False) -> _Fault | None:
     construction.  Returns the first fault, or None.
     """
     labels: list[Place | Transition] = []
-    # each sequence with its border kind and the closing bracket after it
+    # each sequence, its border kind and the closing bracket after it; an own
+    # stack, as its LIFO order decides which of several faults is reported
     stack: list[tuple[SeqBlock, type, str | None]] = [(tree, Place, None)]
     while stack:
         seq, border, closer = stack.pop()
@@ -418,17 +442,12 @@ def format_tree(tree: BlockTree) -> str:
     # whether a label starting with the second character would run on from
     # one ending with the first: only that character can change how it scans
     runs_on: dict[tuple[str, str], bool] = {}
-    stack: list[Iterator] = [iter(tree.children)]
-    while stack:
-        for item in stack[-1]:
-            if isinstance(item, str):  # a bracket
-                out.append(item)
-                last = ""
-            elif isinstance(item, SeqBlock):
-                stack.append(iter(item.children))
-                break
-            elif isinstance(item, (Place, Transition)):
-                label = item.label
+
+    def text(seq: SeqBlock) -> Generator[SeqBlock, None, None]:
+        nonlocal last
+        for child in seq.children:
+            if isinstance(child, (Place, Transition)):
+                label = child.label
                 if last:
                     pair = (last[-1], label[0])
                     comma = runs_on.get(pair)
@@ -439,11 +458,15 @@ def format_tree(tree: BlockTree) -> str:
                 out.append(label)
                 last = label
             else:
-                (opener, closer), _, _ = _BLOCKS[type(item)]
-                stack.append(iter([x for s in branches_of(item) for x in (opener, s, closer)]))
-                break
-        else:
-            stack.pop()
+                (opener, closer), _, _ = _BLOCKS[type(child)]
+                last = ""
+                for branch in branches_of(child):
+                    out.append(opener)
+                    yield branch
+                    out.append(closer)
+                    last = ""
+
+    _drive(text, tree)
     return "".join(out)
 
 

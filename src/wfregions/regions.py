@@ -133,7 +133,8 @@ def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
     exists = pscr_exists(c, c2, over, perf)
     classes = dict.fromkeys(over, MemberClass.OVERESTIMATION)
     classes.update(dict.fromkeys(perf, MemberClass.PERFECT_MEMBER))
-    per_place = {p: classes.get(p, MemberClass.SAFE) for p in places(c)}
+    # change_sets indexed every place of c, so the index lists them all
+    per_place = {p: classes.get(p, MemberClass.SAFE) for p in c.place_index}
     return AnalysisReport(
         change_sets=cs,
         over=over,

@@ -87,7 +87,7 @@ def improved_region(old_tree: BlockTree, dynamic_places: frozenset[str]) -> froz
             return True
         return _block_places(el) <= dynamic_places
 
-    todo: list[SeqBlock] = [old_tree]  # sequences still to scan
+    todo: list[SeqBlock] = [old_tree]  # a worklist: any order removes the same places
     while todo:
         seq = todo.pop()
         runs: list[tuple[int, int]] = []

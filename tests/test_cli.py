@@ -131,6 +131,27 @@ def test_analyze_text_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert err == f"error: {bad}: cannot read byte 0: not UTF-8 text\n"
 
 
+def test_a_byte_order_mark_changes_no_output(capsys, tmp_path):
+    # editors on some systems save text with a UTF-8 byte-order mark
+    paths = []
+    for name in ("claims_old", "claims_new"):
+        path = tmp_path / f"{name}.ecws"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(fx(name)).read_bytes())
+        paths.append(str(path))
+    for command, *flags in (["analyze"], ["oracle"], ["compare", "--json"]):
+        plain = run(capsys, command, fx("claims_old"), fx("claims_new"), *flags)
+        assert plain[0] == 0
+        assert run(capsys, command, *paths, *flags) == plain
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(capsys, tmp_path):
+    bad = tmp_path / "bad.ecws"
+    bad.write_bytes(b"\xef\xbb\xbfp1 t1 \xff p2\n")
+    code, out, err = run(capsys, "analyze", str(bad), fx("nested"))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: cannot read byte 9: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("depth, code", [(64, 0), (65, 2)])
 def test_analyze_nesting_bound(capsys, tmp_path, depth, code):
     path = tmp_path / "deep.ecws"

@@ -239,6 +239,7 @@ def test_inclusion_of_deep_trees_needs_no_recursion():
 def test_generation_and_dot_need_no_recursion():
     # 1,000 nested parallel blocks, past the default recursion limit
     c = build_ctree(deep_tree(3000))
+    assert build_ctree(deep_tree(3000), like=c) is c
     assert ctree_dot(c).count("shape=square") == 1000
     sample_marking(c, random.Random(0))
     # the whole tree generates about 6,000 markings of about 3 million places
@@ -259,6 +260,38 @@ def _nodes(c: CNode) -> list[CNode]:
         out.append(node)
         stack += [branch for block in node.blocks for branch in block.branches]
     return out
+
+
+def _live_places(node: CNode) -> frozenset[str]:
+    """The own places of a node and of every node below its live blocks."""
+    out, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        out |= n.own_places
+        stack += [branch for block in n.live_blocks for branch in block.branches]
+    return frozenset(out)
+
+
+def test_reading_a_place_set_fills_every_node_below():
+    c = build_ctree(deep_tree(3000))
+    assert c.place_set == places(c)
+    # each node holds its own set, so a query below the root costs nothing
+    assert all("place_set" in node.__dict__ for node in _nodes(c))
+
+
+def test_place_sets_hold_the_places_of_each_live_subtree():
+    dead = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        c = build_ctree(random_tree(rng, 6, 30))
+        labels = sorted(places(c))
+        d = delete_places(c, set(rng.sample(labels, rng.randint(1, len(labels)))))
+        for tree in (c, d):
+            tree.place_set  # fills the sets below the live blocks first
+            for node in _nodes(tree):
+                assert node.place_set == _live_places(node)
+                dead += sum(not block.generable for block in node.blocks)
+    assert dead >= 50  # residues with dead blocks are covered
 
 
 def test_building_like_a_tree_shares_its_unchanged_subtrees():

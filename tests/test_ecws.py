@@ -179,6 +179,13 @@ def test_nesting_bound_counts_every_bracket_kind():
         parse(format_tree(deep_tree(MAX_NESTING + 1)))
 
 
+def test_printing_needs_no_recursion():
+    # 3,000 nested blocks, past the default recursion limit; each level
+    # prints two groups of its kind
+    text = format_tree(deep_tree(3000))
+    assert [text.count(opener) for opener in "([{"] == [2000, 2000, 2000]
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(DuplicateLabelError):
         parse("p1t1p1")
