@@ -407,6 +407,39 @@ PINNED_TREE_OUTPUTS = {
 }
 
 
+def _residues() -> list[tuple[CNode, frozenset[str], CNode]]:
+    """``(c, L, delete_places(c, L))`` for 200 net trees and 200 hand-built
+    trees, ``L`` drawn from the labels each tree was built over."""
+    out = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        c = build_ctree(random_tree(rng, 6, 30))
+        labels = sorted(places(c))
+        out.append((c, frozenset(rng.sample(labels, rng.randint(1, len(labels))))))
+    for seed in range(200):
+        rng = random.Random(seed)
+        alphabet = [f"x{i}" for i in range(rng.randint(3, 9))]
+        c = _random_ctree(rng, rng.sample(alphabet, len(alphabet)))
+        out.append((c, frozenset(rng.sample(alphabet, rng.randint(0, len(alphabet))))))
+    return [(c, labels, delete_places(c, labels)) for c, labels in out]
+
+
+def test_deletion_residues_are_pinned():
+    # deleting L keeps exactly the markings that avoid L; the break-off and
+    # inclusion answers and three seeded draws on each residue are pinned
+    digest = hashlib.sha256()
+    for i, (c, labels, d) in enumerate(_residues()):
+        assert markings_of(d) == {m for m in markings_of(c) if not m & labels}
+        rng = random.Random(i)
+        draws = [sorted(sample_marking(d, rng)) for _ in range(3)] if d.generable else []
+        facts = (is_breakoff(c, labels), d.generable, mpe_exists(d, c), mpe_exists(c, d), draws)
+        digest.update((repr(facts) + "\n").encode())
+    assert digest.hexdigest() == PINNED_RESIDUES
+
+
+PINNED_RESIDUES = "409986409b287624a63f9823ce8079494754c4098a05cda27c3724c850c9b2b3"
+
+
 # ── properties on random trees ───────────────────────────────────────────────
 
 
