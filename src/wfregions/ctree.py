@@ -8,11 +8,15 @@ branch, and a marking drawn from it takes one sub-marking from *every*
 branch.  Sequences, choices, and loops never deepen the tree; only parallel
 blocks do.
 
+Every tree is in normal form: a node drops each block with a branch that has
+no elements, as such a block generates nothing.  Nodes are built children
+first, so every element generates a marking, and a node does iff it has one.
+
 On top of the tree this module provides: the set of places concurrent with a
 given place (:func:`gcs`), one marking drawn at random
 (:func:`sample_marking`), deletion of places, break-off sets (place sets
-hitting every marking: deleting them leaves a tree whose ``generable`` fact
-is false), and one exact inclusion test (:func:`mpe_exists`) that decides
+hitting every marking: deleting them leaves a tree with no elements), and one
+exact inclusion test (:func:`mpe_exists`) that decides
 whether every marking one tree generates is also generable by another.
 Membership of one marking (:func:`generates`) is that test on the marking's
 own tree.
@@ -47,27 +51,29 @@ from .wfnet import Marking
 class CNode:
     """Mutually exclusive alternatives: place labels and parallel blocks.
 
-    The facts after ``elements`` are set from the children's on construction.
+    Construction drops each block with a branch that has no elements (the
+    normal form) and sets the facts after ``elements`` from the kept ones.
     """
 
     elements: tuple["str | CBlock", ...]
     own_places: frozenset[str] = field(init=False, repr=False, compare=False)
-    live_blocks: tuple["CBlock", ...] = field(init=False, repr=False, compare=False)
-    generable: bool = field(init=False, repr=False, compare=False)
+    blocks: tuple["CBlock", ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         facts, elements = self.__dict__, self.elements
         own = [el for el in elements if el.__class__ is str]
-        facts["own_places"] = frozenset(own)
-        if len(own) == len(elements):
-            facts["live_blocks"], facts["generable"] = (), bool(own)
-        else:
-            live = tuple([el for el in elements if el.__class__ is not str and el.generable])
-            facts["live_blocks"], facts["generable"] = live, bool(own or live)
+        facts["own_places"], facts["blocks"] = frozenset(own), ()
+        if len(own) != len(elements):
+            kept = [el for el in elements
+                    if el.__class__ is str or all([branch.elements for branch in el.branches])]
+            if len(kept) != len(elements):
+                facts["elements"] = tuple(kept)
+            facts["blocks"] = tuple([el for el in kept if el.__class__ is not str])
 
-    @cached_property
-    def blocks(self) -> tuple["CBlock", ...]:
-        return tuple(el for el in self.elements if isinstance(el, CBlock))
+    @property
+    def generable(self) -> bool:
+        """Does the node generate a marking (in normal form: has it any element)?"""
+        return bool(self.elements)
 
     @cached_property
     def place_set(self) -> frozenset[str]:
@@ -78,7 +84,7 @@ class CNode:
             facts = node.__dict__
             if "place_set" not in facts:
                 out = set(node.own_places)
-                for block in node.live_blocks:
+                for block in node.blocks:
                     for branch in block.branches:
                         out |= yield branch
                 facts["place_set"] = frozenset(out)
@@ -103,10 +109,10 @@ class CNode:
 
     @cached_property
     def block_index(self) -> dict[str, "CBlock"]:
-        """Every place of a live block's factors mapped to the first live
-        block holding it, so a lookup costs one probe, not one per block."""
+        """Every place of a block's factors mapped to the first block
+        holding it, so a lookup costs one probe, not one per block."""
         index: dict[str, CBlock] = {}
-        for block in self.live_blocks:
+        for block in self.blocks:
             for p in block.factor_index:
                 index.setdefault(p, block)
         return index
@@ -118,23 +124,18 @@ class CBlock:
 
     branches: tuple[CNode, ...]
 
-    @property
-    def generable(self) -> bool:
-        """Does every branch generate a marking (so the block realizes one)?"""
-        return all(b.generable for b in self.branches)
-
     @cached_property
     def factors(self) -> tuple[CNode, ...]:
-        """The block as a flat product: a branch holding nothing but one live
+        """The block as a flat product: a branch holding nothing but one
         block stands for that block's factors."""
         out: list[CNode] = []
         # an own stack, as the walk stops at each node that is not a connector
         stack = list(reversed(self.branches))
         while stack:
             node = stack.pop()
-            if not node.own_places and len(node.live_blocks) == 1:
-                stack.extend(reversed(node.live_blocks[0].branches))
-            elif node.place_set:  # a node without places holds only the empty marking
+            if not node.own_places and len(node.blocks) == 1:
+                stack.extend(reversed(node.blocks[0].branches))
+            else:
                 out.append(node)
         return tuple(out)
 
@@ -293,10 +294,7 @@ def sample_marking(c: CTree, rng: random.Random | None = None) -> Marking:
         raise ValueError("the tree generates no markings")
 
     def draw(node: CNode) -> Generator[CNode, Marking, Marking]:
-        viable = node.elements
-        if len(node.own_places) + len(node.live_blocks) != len(viable):  # dead blocks
-            viable = [el for el in viable if isinstance(el, str) or el.generable]
-        el = rng.choice(viable)
+        el = rng.choice(node.elements)
         if isinstance(el, str):
             return frozenset((el,))
         picked: frozenset[str] = frozenset()
@@ -317,7 +315,8 @@ def generates(c: CTree, m: Marking) -> bool:
 
 
 def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
-    """Remove the given places from every node; the shape stays intact.
+    """Remove the given places from every node, and so every block left with
+    an empty branch: the result generates the markings of ``c`` avoiding them.
 
     A node or block with nothing deleted below it is returned as the same
     object, so only the nodes on the paths to deleted places are rebuilt,
@@ -372,7 +371,7 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
     while todo:
         views, y = todo.pop()
         if len(views) == 1:
-            # each alternative of x (a place, or a live block as the product
+            # each alternative of x (a place, or a block as the product
             # of its factors) on its own; a share that leaves some marking
             # empty fails, as no marking of y holds another
             x, cut = views[0]
@@ -380,13 +379,13 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
                 continue
             if not all(_place_in(p, y) for p in x.own_places - y.own_places):
                 return False
-            for b in x.live_blocks:
+            for b in x.blocks:
                 views = [(f, None if cut is None or f.place_set <= cut else f.place_set & cut)
                          for f in b.factors if cut is None or not f.place_set.isdisjoint(cut)]
                 todo.append((views, y))
             continue
         if not views:  # the empty marking
-            if not any(not b.factors for b in y.live_blocks):
+            if not any(not b.factors for b in y.blocks):
                 return False
             continue
         # Two or more factors give markings of two or more places that overlap
@@ -434,9 +433,9 @@ def _place_in(p: str, y: CNode) -> bool:
 
 def _block_holding(p: str, y: CNode) -> CBlock | None:
     """The block alternative of ``y`` that may hold ``p`` (a lone one may):
-    the first live block with a factor holding ``p``, read from the node's
+    the first block with a factor holding ``p``, read from the node's
     index, so a node with many blocks costs one probe per query."""
-    blocks = y.live_blocks
+    blocks = y.blocks
     if len(blocks) == 1:
         return blocks[0]
     return y.block_index.get(p)

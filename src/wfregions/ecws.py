@@ -435,7 +435,9 @@ def format_tree(tree: BlockTree) -> str:
     """Render the canonical text of a block tree.
 
     The output contains no whitespace; a comma is inserted only where two
-    adjacent labels would otherwise scan as one.
+    adjacent labels would otherwise scan as one.  The tree must be valid
+    (see :func:`validate_tree`); an empty label, or one that starts with a
+    digit and is followed by another, raises ParseError.
     """
     out: list[str] = []
     last = ""  # the label just written, or "" after a bracket
@@ -448,11 +450,16 @@ def format_tree(tree: BlockTree) -> str:
         for child in seq.children:
             if isinstance(child, (Place, Transition)):
                 label = child.label
+                if not label:
+                    raise ParseError(f"label {label!r} does not scan as one label")
                 if last:
                     pair = (last[-1], label[0])
                     comma = runs_on.get(pair)
                     if comma is None:
-                        comma = runs_on[pair] = _LABEL.match(last + label[0]).end() > len(last)
+                        run = _LABEL.match(last + label[0])
+                        if run is None:
+                            raise ParseError(f"label {last!r} does not scan as one label")
+                        comma = runs_on[pair] = run.end() > len(last)
                     if comma:
                         out.append(",")
                 out.append(label)

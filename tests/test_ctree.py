@@ -133,12 +133,18 @@ def test_sample_marking_draws_only_valid_markings():
     assert seen == valid  # 6 markings, 80 draws: all of them show up
 
 
+def _generates_some(el: str | CBlock) -> bool:
+    """Does the element generate a marking?  Read from the whole subtree."""
+    return isinstance(el, str) or all(any(map(_generates_some, b.elements)) for b in el.branches)
+
+
 def _filtered_draw(c: CNode, rng: random.Random) -> frozenset[str]:
-    """The draw with the viable elements filtered at every node."""
+    """The draw with the elements that generate a marking filtered at every
+    node."""
     picked, stack = set(), [c]
     while stack:
         node = stack.pop()
-        el = rng.choice([el for el in node.elements if isinstance(el, str) or el.generable])
+        el = rng.choice([el for el in node.elements if _generates_some(el)])
         if isinstance(el, str):
             picked.add(el)
         else:
@@ -147,19 +153,20 @@ def _filtered_draw(c: CNode, rng: random.Random) -> frozenset[str]:
 
 
 def test_sample_marking_draws_as_the_filtered_draw():
-    # one rng stream, one marking per draw: on net trees, where no block is
-    # dead, and on deletion residues, where some are
+    # one rng stream, one marking per draw: on net trees and on deletion
+    # residues, some of which dropped a block left with an empty branch
     trees = [build_ctree(composed_pair(4)[0]), build_ctree(load_fixture("nested"))]
     trees += [build_ctree(random_tree(random.Random(s), 6, 30)) for s in range(20)]
-    residues = []
+    residues, dropped = [], 0
     for s, c in enumerate(trees):
         rng = random.Random(s)
         for _ in range(10):
-            d = delete_places(c, set(rng.sample(sorted(places(c)), len(places(c)) // 4)))
+            labels = set(rng.sample(sorted(places(c)), len(places(c)) // 4))
+            d = delete_places(c, labels)
             if d.generable:
                 residues.append(d)
-    dead = [d for d in residues if any(not b.generable for n in _nodes(d) for b in n.blocks)]
-    assert len(dead) >= 20
+                dropped += _places_below(d) != places(c) - labels
+    assert dropped >= 20
     for s, c in enumerate(trees + residues):
         rng, rng2 = random.Random(s), random.Random(s)
         for _ in range(5):
@@ -176,12 +183,14 @@ def test_sample_marking_fails_on_dead_tree():
 # ── deletion, dysfunction, break-off ─────────────────────────────────────────
 
 
-def test_delete_keeps_structure():
+def test_delete_drops_a_block_left_with_an_empty_branch():
     c = build_ctree(parse(PARALLEL))
     d = delete_places(c, {"p2", "p3"})
-    (block,) = d.blocks
-    assert len(block.branches) == 2  # the emptied branch is kept, just empty
-    assert places(d) == {"p1", "p4", "p5", "p6"}
+    # the block generates nothing without its first branch's places
+    assert d == CNode(("p1", "p6")) and not d.blocks
+    assert places(d) == {"p1", "p6"}
+    # built by hand, the same node is the same normal form
+    assert CNode(("p1", CBlock((CNode(()), CNode(("p4", "p5")))), "p6")) == d
 
 
 def test_emptied_tree_is_dysfunctional():
@@ -262,13 +271,13 @@ def _nodes(c: CNode) -> list[CNode]:
     return out
 
 
-def _live_places(node: CNode) -> frozenset[str]:
-    """The own places of a node and of every node below its live blocks."""
+def _places_below(node: CNode) -> frozenset[str]:
+    """The own places of a node and of every node below its blocks."""
     out, stack = set(), [node]
     while stack:
         n = stack.pop()
         out |= n.own_places
-        stack += [branch for block in n.live_blocks for branch in block.branches]
+        stack += [branch for block in n.blocks for branch in block.branches]
     return frozenset(out)
 
 
@@ -280,18 +289,19 @@ def test_reading_a_place_set_fills_every_node_below():
 
 
 def test_place_sets_hold_the_places_of_each_live_subtree():
-    dead = 0
-    for seed in range(200):
+    dropped = 0
+    for seed in range(300):
         rng = random.Random(seed)
         c = build_ctree(random_tree(rng, 6, 30))
         labels = sorted(places(c))
-        d = delete_places(c, set(rng.sample(labels, rng.randint(1, len(labels)))))
+        deleted = set(rng.sample(labels, rng.randint(1, len(labels))))
+        d = delete_places(c, deleted)
         for tree in (c, d):
-            tree.place_set  # fills the sets below the live blocks first
+            tree.place_set  # fills the sets below the blocks first
             for node in _nodes(tree):
-                assert node.place_set == _live_places(node)
-                dead += sum(not block.generable for block in node.blocks)
-    assert dead >= 50  # residues with dead blocks are covered
+                assert node.place_set == _places_below(node)
+        dropped += _places_below(d) != places(c) - deleted
+    assert dropped >= 50  # residues where deletion dropped a block are covered
 
 
 def test_building_like_a_tree_shares_its_unchanged_subtrees():
@@ -310,7 +320,11 @@ def test_deletion_rebuilds_only_the_paths_to_deleted_places():
     assert delete_places(c, set()) is c
     assert delete_places(c, {"no_such_place"}) is c
     before = {id(n) for n in _nodes(c)}
-    deep = sorted(p for p, route in c.place_index.items() if len(route) >= 2)
+    # deep places whose node keeps another element, so no block is dropped
+    deep = sorted(
+        p for p, route in c.place_index.items()
+        if len(route) >= 2 and len(route[-1][0].branches[route[-1][1]].elements) > 1
+    )
     for labels in ({deep[0]}, {deep[0], deep[-1]}):
         d = delete_places(c, labels)
         assert places(d) == places(c) - labels
@@ -334,16 +348,16 @@ def test_a_tree_includes_itself_and_an_equal_copy():
 def test_block_lookup_index_equals_the_linear_scans():
     # 30 parallel chunks in the root, plus every deeper node
     c = build_ctree(composed_pair(11, chunks=30)[0])
-    assert len(c.live_blocks) == 30
+    assert len(c.blocks) == 30
     for y in _nodes(c):
         for p in sorted(y.place_set) + ["no_such_place"]:
             scan = next(
-                (b for b in y.live_blocks if any(p in f.place_set for f in b.factors)), None
+                (b for b in y.blocks if any(p in f.place_set for f in b.factors)), None
             )
-            if len(y.live_blocks) == 1:
-                scan = y.live_blocks[0]
+            if len(y.blocks) == 1:
+                scan = y.blocks[0]
             assert _block_holding(p, y) is scan
-            for b in y.live_blocks:
+            for b in y.blocks:
                 scan_j = next((j for j, f in enumerate(b.factors) if p in f.place_set), None)
                 assert b.factor_index.get(p) == scan_j
 
@@ -438,6 +452,15 @@ def test_deletion_residues_are_pinned():
 
 
 PINNED_RESIDUES = "409986409b287624a63f9823ce8079494754c4098a05cda27c3724c850c9b2b3"
+
+
+def test_every_tree_is_in_normal_form():
+    # built from a net, by hand or by deletion: no block has an empty branch
+    for c, _, d in _residues():
+        for tree in (c, d):
+            assert all(branch.elements for node in _nodes(tree)
+                       for block in node.blocks for branch in block.branches)
+            assert places(tree) == tree.place_set
 
 
 # ── properties on random trees ───────────────────────────────────────────────

@@ -222,6 +222,17 @@ def test_format_inserts_commas_only_where_needed():
     assert parse(out) == tree
 
 
+@pytest.mark.parametrize("labels, bad", [
+    (("1a", "t1", "p2"), "1a"),  # no label starts with a digit
+    (("", "t1", "p2"), ""),  # an empty label does not vanish after a bracket
+    (("p1", "", "p2"), ""),
+])
+def test_format_rejects_a_label_that_does_not_scan(labels, bad):
+    tree = SeqBlock((Place(labels[0]), Transition(labels[1]), Place(labels[2])))
+    with pytest.raises(ParseError, match=f"^label {bad!r} does not scan as one label$"):
+        format_tree(tree)
+
+
 def test_format_parse_round_trip_preserves_tree():
     for text in CANONICAL:
         tree = parse(text)
