@@ -436,8 +436,9 @@ def format_tree(tree: BlockTree) -> str:
 
     The output contains no whitespace; a comma is inserted only where two
     adjacent labels would otherwise scan as one.  The tree must be valid
-    (see :func:`validate_tree`); an empty label, or one that starts with a
-    digit and is followed by another, raises ParseError.
+    (see :func:`validate_tree`), as labels are not checked one by one: an
+    empty label raises ParseError, and so does a label that fails to scan
+    where the comma after it is first decided.
     """
     out: list[str] = []
     last = ""  # the label just written, or "" after a bracket

@@ -224,8 +224,8 @@ def test_format_inserts_commas_only_where_needed():
 
 @pytest.mark.parametrize("labels, bad", [
     (("1a", "t1", "p2"), "1a"),  # no label starts with a digit
-    (("", "t1", "p2"), ""),  # an empty label does not vanish after a bracket
-    (("p1", "", "p2"), ""),
+    (("", "t1", "p2"), ""),  # an empty label with no label before it
+    (("p1", "", "p2"), ""),  # and one after another label
 ])
 def test_format_rejects_a_label_that_does_not_scan(labels, bad):
     tree = SeqBlock((Place(labels[0]), Transition(labels[1]), Place(labels[2])))
