@@ -105,6 +105,20 @@ def test_gcs_unknown_place(nested):
         gcs("zz", nested)
 
 
+def test_gcs_generates_the_markings_concurrent_with_each_place():
+    # every place outside the root node, on net trees and hand-built trees:
+    # gcs(p) generates each marking holding p with p taken out
+    trees = [build_ctree(random_tree(random.Random(seed), 6, 30)) for seed in range(300)]
+    for seed in range(200):
+        rng = random.Random(seed)
+        alphabet = [f"x{i}" for i in range(rng.randint(3, 9))]
+        trees.append(_random_ctree(rng, rng.sample(alphabet, len(alphabet))))
+    for c in trees:
+        generated = markings_of(c)
+        for p in places(c) - c.own_places:
+            assert markings_of(gcs(p, c)) == {m - {p} for m in generated if p in m}
+
+
 # ── marking generation ───────────────────────────────────────────────────────
 
 
@@ -440,18 +454,22 @@ def _residues() -> list[tuple[CNode, frozenset[str], CNode]]:
 
 def test_deletion_residues_are_pinned():
     # deleting L keeps exactly the markings that avoid L; the break-off and
-    # inclusion answers and three seeded draws on each residue are pinned
-    digest = hashlib.sha256()
+    # inclusion answers, and apart from them three seeded draws on each
+    # residue, are pinned
+    facts, draws = hashlib.sha256(), hashlib.sha256()
     for i, (c, labels, d) in enumerate(_residues()):
         assert markings_of(d) == {m for m in markings_of(c) if not m & labels}
         rng = random.Random(i)
-        draws = [sorted(sample_marking(d, rng)) for _ in range(3)] if d.generable else []
-        facts = (is_breakoff(c, labels), d.generable, mpe_exists(d, c), mpe_exists(c, d), draws)
-        digest.update((repr(facts) + "\n").encode())
-    assert digest.hexdigest() == PINNED_RESIDUES
+        drawn = [sorted(sample_marking(d, rng)) for _ in range(3)] if d.generable else []
+        answers = (is_breakoff(c, labels), d.generable, mpe_exists(d, c), mpe_exists(c, d))
+        facts.update((repr(answers) + "\n").encode())
+        draws.update((repr(drawn) + "\n").encode())
+    assert facts.hexdigest() == PINNED_RESIDUE_FACTS
+    assert draws.hexdigest() == PINNED_RESIDUE_DRAWS
 
 
-PINNED_RESIDUES = "409986409b287624a63f9823ce8079494754c4098a05cda27c3724c850c9b2b3"
+PINNED_RESIDUE_FACTS = "d1f31b87688f6413c8508008131ac98c593378cc8eaa1b90e240d28830223db0"
+PINNED_RESIDUE_DRAWS = "f59c5364273547de8454006068b8952b439c61c3dcda61bca403483711800778"
 
 
 def test_every_tree_is_in_normal_form():
