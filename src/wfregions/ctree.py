@@ -8,9 +8,13 @@ branch, and a marking drawn from it takes one sub-marking from *every*
 branch.  Sequences, choices, and loops never deepen the tree; only parallel
 blocks do.
 
-Every tree is in normal form: a node drops each block with a branch that has
-no elements, as such a block generates nothing.  Nodes are built children
-first, so every element generates a marking, and a node does iff it has one.
+Every tree is in normal form, a canonical cotree (Corneil, Lerchs & Stewart
+Burlingham 1981): a node drops each block with a branch that has no elements,
+as such a block generates nothing, and takes in the elements of a block with
+one branch; a block takes in the branches of a branch that holds nothing but
+a block.  Nodes are built children first, so one level of splicing in the
+constructors keeps the form: every element generates a marking, a node does
+iff it has one, no block has one branch, and no branch is a bare block.
 
 On top of the tree this module provides: the set of places concurrent with a
 given place (:func:`gcs`), one marking drawn at random
@@ -51,8 +55,9 @@ from .wfnet import Marking
 class CNode:
     """Mutually exclusive alternatives: place labels and parallel blocks.
 
-    Construction drops each block with a branch that has no elements (the
-    normal form) and sets the facts after ``elements`` from the kept ones.
+    Construction keeps the normal form: it drops each block with a branch that
+    has no elements and splices in the elements of a block with one branch.
+    It sets the facts after ``elements`` from the kept ones.
     """
 
     elements: tuple["str | CBlock", ...]
@@ -63,12 +68,24 @@ class CNode:
         facts, elements = self.__dict__, self.elements
         own = [el for el in elements if el.__class__ is str]
         facts["own_places"], facts["blocks"] = frozenset(own), ()
-        if len(own) != len(elements):
-            kept = [el for el in elements
-                    if el.__class__ is str or all([branch.elements for branch in el.branches])]
-            if len(kept) != len(elements):
-                facts["elements"] = tuple(kept)
-            facts["blocks"] = tuple([el for el in kept if el.__class__ is not str])
+        if len(own) == len(elements):
+            return
+        blocks = [el for el in elements if el.__class__ is not str]
+        # every node of a net's tree returns here, without a loop in Python
+        if all([len(b.branches) != 1 and all([br.elements for br in b.branches]) for b in blocks]):
+            facts["blocks"] = tuple(blocks)
+            return
+        kept: list[str | CBlock] = []
+        for el in elements:
+            if el.__class__ is str:
+                kept.append(el)
+            elif len(el.branches) == 1:
+                kept += el.branches[0].elements
+            elif all([br.elements for br in el.branches]):
+                kept.append(el)
+        facts["elements"] = tuple(kept)
+        facts["own_places"] = frozenset([el for el in kept if el.__class__ is str])
+        facts["blocks"] = tuple([el for el in kept if el.__class__ is not str])
 
     @property
     def generable(self) -> bool:
@@ -109,43 +126,39 @@ class CNode:
 
     @cached_property
     def block_index(self) -> dict[str, "CBlock"]:
-        """Every place of a block's factors mapped to the first block
+        """Every place of a block's branches mapped to the first block
         holding it, so a lookup costs one probe, not one per block."""
         index: dict[str, CBlock] = {}
         for block in self.blocks:
-            for p in block.factor_index:
+            for p in block.branch_index:
                 index.setdefault(p, block)
         return index
 
 
 @dataclass(frozen=True)
 class CBlock:
-    """A parallel block: one branch node per concurrent branch."""
+    """A parallel block: one branch node per concurrent branch.
+
+    Construction keeps the normal form: a branch that holds nothing but one
+    block is replaced by that block's branches, so a block is a flat product.
+    """
 
     branches: tuple[CNode, ...]
 
-    @cached_property
-    def factors(self) -> tuple[CNode, ...]:
-        """The block as a flat product: a branch holding nothing but one
-        block stands for that block's factors."""
-        out: list[CNode] = []
-        # an own stack, as the walk stops at each node that is not a connector
-        stack = list(reversed(self.branches))
-        while stack:
-            node = stack.pop()
-            if not node.own_places and len(node.blocks) == 1:
-                stack.extend(reversed(node.blocks[0].branches))
-            else:
-                out.append(node)
-        return tuple(out)
+    def __post_init__(self) -> None:
+        if any([len(br.elements) == 1 and br.blocks for br in self.branches]):
+            flat: list[CNode] = []
+            for br in self.branches:
+                flat += br.blocks[0].branches if len(br.elements) == 1 and br.blocks else (br,)
+            self.__dict__["branches"] = tuple(flat)
 
     @cached_property
-    def factor_index(self) -> dict[str, int]:
-        """Every place of the factors mapped to the index of the first
-        factor holding it."""
+    def branch_index(self) -> dict[str, int]:
+        """Every place of the branches mapped to the index of the first
+        branch holding it."""
         index: dict[str, int] = {}
-        for j, factor in enumerate(self.factors):
-            for p in factor.place_set:
+        for j, branch in enumerate(self.branches):
+            for p in branch.place_set:
                 index.setdefault(p, j)
         return index
 
@@ -262,9 +275,9 @@ def places(c: CTree) -> frozenset[str]:
 def gcs(p: str, c: CTree) -> CTree:
     """The sub-tree generating exactly the markings concurrent with ``p``.
 
-    Along the path from the root to p's node, every node is stripped down to
-    the single on-path block, sibling branches are kept whole, and p's own
-    branch is cut off at the last step.  A place held by the root node is
+    That is the product of the sibling branches along the route from the root
+    to p's node: one block holding, at each level, the branches beside the
+    on-path one, in their order around it.  A place held by the root node is
     concurrent with nothing: its result is the empty tree.
     """
     route = c.place_index.get(p)
@@ -272,16 +285,12 @@ def gcs(p: str, c: CTree) -> CTree:
         raise UnknownPlaceError(f"place {p!r} does not occur in the tree")
     if not route:
         return CNode(())
-    block, branch_idx = route[-1]
-    cut = tuple(b for i, b in enumerate(block.branches) if i != branch_idx)
-    current = CBlock(cut)
-    for block, branch_idx in reversed(route[:-1]):
-        connector = CNode((current,))
-        replaced = tuple(
-            connector if i == branch_idx else b for i, b in enumerate(block.branches)
-        )
-        current = CBlock(replaced)
-    return CNode((current,))
+    before: list[CNode] = []
+    after: list[CNode] = []
+    for block, i in route:
+        before += block.branches[:i]
+        after += reversed(block.branches[i + 1:])
+    return CNode((CBlock((*before, *reversed(after))),))
 
 
 # ── marking generation ──────────────────────────────────────────────────────
@@ -357,9 +366,11 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
 
     Exact, and decided without search, for trees with unique labels where the
     empty marking is never one alternative among others (every tree built
-    from a net, and its gcs trees and deletions): such a tree is a cotree,
-    its markings are the maximal cliques of the graph of concurrent places,
-    and so no marking holds another.
+    from a net, and its gcs trees and deletions): such a tree is a canonical
+    cotree, its markings are the maximal cliques of the graph of concurrent
+    places, and so no marking holds another.  A one-place marking ``{p}`` is
+    then one of ``y`` iff p is an own place of ``y``, as no block has one
+    branch.
 
     The test is a conjunction of obligations ``(views, y)``: every marking of
     the product of ``views`` is one of node ``y``.  A view is a node ``x`` and
@@ -372,40 +383,37 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
         views, y = todo.pop()
         if len(views) == 1:
             # each alternative of x (a place, or a block as the product
-            # of its factors) on its own; a share that leaves some marking
+            # of its branches) on its own; a share that leaves some marking
             # empty fails, as no marking of y holds another
             x, cut = views[0]
             if cut is None and x is y:  # a tree generates its own markings
                 continue
-            if not all(_place_in(p, y) for p in x.own_places - y.own_places):
+            if not x.own_places <= y.own_places:
                 return False
             for b in x.blocks:
                 views = [(f, None if cut is None or f.place_set <= cut else f.place_set & cut)
-                         for f in b.factors if cut is None or not f.place_set.isdisjoint(cut)]
+                         for f in b.branches if cut is None or not f.place_set.isdisjoint(cut)]
                 todo.append((views, y))
             continue
         if not views:  # the empty marking
-            if not any(not b.factors for b in y.blocks):
+            if not any(not b.branches for b in y.blocks):
                 return False
             continue
-        # Two or more factors give markings of two or more places that overlap
-        # pairwise, so all lie in the block alternative of y holding any one
-        # of their places.  Each factor of that block must generate its
-        # share; a view spread over several of them is cut into one view per
-        # factor.
+        # Two or more branches give markings of two or more places that
+        # overlap pairwise, so all lie in the block alternative of y holding
+        # any one of their places.  Each branch of that block must generate
+        # its share; a view spread over several of them is cut into one view
+        # per branch.
         x, cut = views[0]
         target = _block_holding(next(iter(cut or x.place_set)), y)
         if target is None:
             return False
-        factors = target.factors
-        if len(factors) == 1:
-            todo.append((views, factors[0]))
-            continue
-        index = target.factor_index
-        shares: list[list] = [[] for _ in factors]
+        branches = target.branches
+        index = target.branch_index
+        shares: list[list] = [[] for _ in branches]
         for x, cut in views:
             j = index.get(next(iter(cut or x.place_set)))
-            if cut is None and j is not None and x.place_set <= factors[j].place_set:
+            if cut is None and j is not None and x.place_set <= branches[j].place_set:
                 shares[j].append((x, None))
                 continue
             parts: dict[int | None, set[str]] = {}
@@ -417,23 +425,13 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
                 shares[j].append((x, frozenset(part)))
         if not all(shares):
             return False
-        todo += zip(shares, factors)
-    return True
-
-
-def _place_in(p: str, y: CNode) -> bool:
-    """Is the one-place marking ``{p}`` one of ``y``?"""
-    while p not in y.own_places:
-        block = _block_holding(p, y)
-        if block is None or len(block.factors) != 1:
-            return False
-        y = block.factors[0]
+        todo += zip(shares, branches)
     return True
 
 
 def _block_holding(p: str, y: CNode) -> CBlock | None:
     """The block alternative of ``y`` that may hold ``p`` (a lone one may):
-    the first block with a factor holding ``p``, read from the node's
+    the first block with a branch holding ``p``, read from the node's
     index, so a node with many blocks costs one probe per query."""
     blocks = y.blocks
     if len(blocks) == 1:

@@ -202,12 +202,16 @@ _TOKEN = re.compile(rf"(?:[\s,]|#.*)*(?:({_LABEL.pattern})|([()\[\]{{}}])|(.)|\Z
 
 def parse_marking(text: str) -> Marking:
     """Inverse of :func:`~wfregions.wfnet.marking_text`: labels joined by
-    commas.  Raises ValueError unless every part is one label."""
-    labels = [part.strip() for part in text.split(",")]
-    for label in labels:
+    commas.  Raises ValueError unless every part is one label, and on a
+    label that occurs twice (a safe net holds one token per place)."""
+    marking: set[str] = set()
+    for label in [part.strip() for part in text.split(",")]:
         if not _LABEL.fullmatch(label):
             raise ValueError(f"malformed marking text {text!r}: {label!r} is not a label")
-    return frozenset(labels)
+        if label in marking:
+            raise ValueError(f"malformed marking text {text!r}: {label!r} occurs twice")
+        marking.add(label)
+    return frozenset(marking)
 
 
 # ── reader ──────────────────────────────────────────────────────────────────

@@ -107,6 +107,13 @@ def test_analyze_malformed_marking(capsys):
     assert "malformed" in err
 
 
+def test_analyze_marking_with_a_repeated_label(capsys):
+    # two tokens on one place are not a marking of a safe net
+    code, out, err = run(capsys, "analyze", fx("nested"), fx("nested"), "--marking", "p1,p1")
+    assert code == 3 and not out
+    assert "'p1' occurs twice" in err
+
+
 def test_analyze_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.ecws"), fx("nested"))
     assert code == 2
@@ -240,7 +247,7 @@ def test_export_gcs_mgs(capsys):
         capsys, "export", fx("nested"), "--what", "gcs", "p6", "--format", "mgs"
     )
     assert code == 0
-    assert out.strip() == "{({({p5,p7})},{p10,p11})}"
+    assert out.strip() == "{({p5,p7},{p10,p11})}"
 
 
 def test_export_gcs_needs_place(capsys):

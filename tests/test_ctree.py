@@ -86,7 +86,7 @@ def test_places(nested):
 
 
 def test_gcs_inside_nested_fork(nested):
-    assert mgs_text(gcs("p6", nested)) == "{({({p5,p7})},{p10,p11})}"
+    assert mgs_text(gcs("p6", nested)) == "{({p5,p7},{p10,p11})}"
 
 
 def test_gcs_of_root_place_is_empty(nested):
@@ -97,7 +97,7 @@ def test_gcs_of_root_place_is_empty(nested):
 
 def test_gcs_single_level():
     c = build_ctree(parse("p1t1p2t2(p3t3p4t4p5)(p6t5p7)t6p8t7p9"))
-    assert mgs_text(gcs("p3", c)) == "{({p6,p7})}"
+    assert mgs_text(gcs("p3", c)) == "{p6,p7}"
 
 
 def test_gcs_unknown_place(nested):
@@ -366,14 +366,14 @@ def test_block_lookup_index_equals_the_linear_scans():
     for y in _nodes(c):
         for p in sorted(y.place_set) + ["no_such_place"]:
             scan = next(
-                (b for b in y.blocks if any(p in f.place_set for f in b.factors)), None
+                (b for b in y.blocks if any(p in f.place_set for f in b.branches)), None
             )
             if len(y.blocks) == 1:
                 scan = y.blocks[0]
             assert _block_holding(p, y) is scan
             for b in y.blocks:
-                scan_j = next((j for j, f in enumerate(b.factors) if p in f.place_set), None)
-                assert b.factor_index.get(p) == scan_j
+                scan_j = next((j for j, f in enumerate(b.branches) if p in f.place_set), None)
+                assert b.branch_index.get(p) == scan_j
 
 
 # ── marking-preserving embedding ─────────────────────────────────────────────
@@ -469,15 +469,20 @@ def test_deletion_residues_are_pinned():
 
 
 PINNED_RESIDUE_FACTS = "d1f31b87688f6413c8508008131ac98c593378cc8eaa1b90e240d28830223db0"
-PINNED_RESIDUE_DRAWS = "f59c5364273547de8454006068b8952b439c61c3dcda61bca403483711800778"
+PINNED_RESIDUE_DRAWS = "1cee3ac0ef2a6fe60cde50f0521555646c8ee7d4107e3a677834d13d11fa5f61"
 
 
 def test_every_tree_is_in_normal_form():
-    # built from a net, by hand or by deletion: no block has an empty branch
+    # built from a net, by hand, by deletion or by gcs: no block has an empty
+    # branch or one branch, and no branch is a bare block
     for c, _, d in _residues():
-        for tree in (c, d):
-            assert all(branch.elements for node in _nodes(tree)
-                       for block in node.blocks for branch in block.branches)
+        for tree in (c, d, *(gcs(p, c) for p in sorted(places(c)))):
+            for node in _nodes(tree):
+                for block in node.blocks:
+                    assert len(block.branches) != 1
+                    for branch in block.branches:
+                        assert branch.elements
+                        assert branch.own_places or len(branch.elements) > 1
             assert places(tree) == tree.place_set
 
 

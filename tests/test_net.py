@@ -39,7 +39,9 @@ def test_marking_text_is_sorted_and_invertible():
     assert parse_marking(" p4 , p2 ") == m
 
 
-@pytest.mark.parametrize("bad", ["", "p2,,", ",p2", "p 2", "2p", "p-2", "p1a"])
+@pytest.mark.parametrize(
+    "bad", ["", "p2,,", ",p2", "p 2", "2p", "p-2", "p1a", "p1,p1", "p2, p2"]
+)
 def test_parse_marking_rejects_malformed_text(bad):
     with pytest.raises(ValueError):
         parse_marking(bad)
