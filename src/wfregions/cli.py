@@ -189,12 +189,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "falsePositives",
         "unknowns",
     )
-    widths = [
-        max(len(col), *(len(str(row[col])) for row in rows)) for col in columns
-    ]
-    print("  ".join(col.ljust(w) for col, w in zip(columns, widths)))
-    for row in rows:
-        print("  ".join(str(row[col]).ljust(w) for col, w in zip(columns, widths)))
+    lines = [columns, *([str(row[col]) for col in columns] for row in rows)]
+    widths = [max(map(len, cells)) for cells in zip(*lines)]
+    for cells in lines:
+        # every column but the last is padded, so no line ends in spaces
+        print("  ".join([c.ljust(w) for c, w in zip(cells, widths[:-1])] + [cells[-1]]))
     return 0
 
 

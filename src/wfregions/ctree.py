@@ -125,13 +125,16 @@ class CNode:
         return index
 
     @cached_property
-    def block_index(self) -> dict[str, "CBlock"]:
-        """Every place of a block's branches mapped to the first block
-        holding it, so a lookup costs one probe, not one per block."""
-        index: dict[str, CBlock] = {}
+    def branch_of(self) -> dict[str, tuple["CBlock", int]]:
+        """Every place below a block of this node mapped to the first block
+        and the index of its first branch holding it, so a lookup costs one
+        probe, not one per block or branch."""
+        index: dict[str, tuple[CBlock, int]] = {}
         for block in self.blocks:
-            for p in block.branch_index:
-                index.setdefault(p, block)
+            for j, branch in enumerate(block.branches):
+                hit = (block, j)
+                for p in branch.place_set:
+                    index.setdefault(p, hit)
         return index
 
 
@@ -151,16 +154,6 @@ class CBlock:
             for br in self.branches:
                 flat += br.blocks[0].branches if len(br.elements) == 1 and br.blocks else (br,)
             self.__dict__["branches"] = tuple(flat)
-
-    @cached_property
-    def branch_index(self) -> dict[str, int]:
-        """Every place of the branches mapped to the index of the first
-        branch holding it."""
-        index: dict[str, int] = {}
-        for j, branch in enumerate(self.branches):
-            for p in branch.place_set:
-                index.setdefault(p, j)
-        return index
 
 
 CTree = CNode
@@ -265,8 +258,8 @@ def _node_key(elements: tuple[str | CBlock, ...]) -> tuple[str | int, ...]:
 
 
 def places(c: CTree) -> frozenset[str]:
-    """All place labels anywhere in the tree."""
-    return frozenset().union(*[node.own_places for node, _ in _preorder(c)])
+    """All place labels anywhere in the tree: the root's ``place_set``."""
+    return c.place_set
 
 
 # ── concurrent-submarking generator ─────────────────────────────────────────
@@ -360,6 +353,9 @@ def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
 
 # ── exact marking inclusion ─────────────────────────────────────────────────
 
+#: The ``CNode.branch_of`` answer for a place under none of the node's blocks.
+_NOWHERE = (None, -1)
+
 
 def mpe_exists(c: CTree, c2: CTree) -> bool:
     """Can ``c2`` generate every marking that ``c`` generates?
@@ -374,8 +370,10 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
 
     The test is a conjunction of obligations ``(views, y)``: every marking of
     the product of ``views`` is one of node ``y``.  A view is a node ``x`` and
-    the places its share may hold (``cut``; None: all).  One explicit stack
-    holds the open obligations, and the first that fails decides.
+    the places its share may hold (``cut``; None: all).  A product of two or
+    more views is matched against the block of ``y`` that holds its places,
+    each place read once from ``y.branch_of``.  One explicit stack holds the
+    open obligations, and the first that fails decides.
     """
     # an own stack: it holds obligations, which pair nodes of two trees
     todo: list[tuple[list[tuple[CNode, frozenset[str] | None]], CNode]] = [([(c, None)], c2)]
@@ -401,42 +399,34 @@ def mpe_exists(c: CTree, c2: CTree) -> bool:
             continue
         # Two or more branches give markings of two or more places that
         # overlap pairwise, so all lie in the block alternative of y holding
-        # any one of their places.  Each branch of that block must generate
-        # its share; a view spread over several of them is cut into one view
-        # per branch.
+        # any one of their places: a place that y lacks, or that another
+        # block holds, fails.  Each branch of that block must generate its
+        # share; a view spread over several of them is cut into one view per
+        # branch.
+        index = y.branch_of
         x, cut = views[0]
-        target = _block_holding(next(iter(cut or x.place_set)), y)
+        target = index.get(next(iter(cut or x.place_set)), _NOWHERE)[0]
         if target is None:
             return False
         branches = target.branches
-        index = target.branch_index
         shares: list[list] = [[] for _ in branches]
         for x, cut in views:
-            j = index.get(next(iter(cut or x.place_set)))
-            if cut is None and j is not None and x.place_set <= branches[j].place_set:
+            block, j = index.get(next(iter(cut or x.place_set)), _NOWHERE)
+            if cut is None and block is target and x.place_set <= branches[j].place_set:
                 shares[j].append((x, None))
                 continue
-            parts: dict[int | None, set[str]] = {}
+            parts: dict[int, set[str]] = {}
             for p in cut or x.place_set:
-                parts.setdefault(index.get(p), set()).add(p)
-            if None in parts:
-                return False
+                block, j = index.get(p, _NOWHERE)
+                if block is not target:
+                    return False
+                parts.setdefault(j, set()).add(p)
             for j, part in parts.items():
                 shares[j].append((x, frozenset(part)))
         if not all(shares):
             return False
         todo += zip(shares, branches)
     return True
-
-
-def _block_holding(p: str, y: CNode) -> CBlock | None:
-    """The block alternative of ``y`` that may hold ``p`` (a lone one may):
-    the first block with a branch holding ``p``, read from the node's
-    index, so a node with many blocks costs one probe per query."""
-    blocks = y.blocks
-    if len(blocks) == 1:
-        return blocks[0]
-    return y.block_index.get(p)
 
 
 # ── text and DOT rendering ──────────────────────────────────────────────────

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import wfregions.cli as cli
+from wfregions import Decision
 from wfregions.cli import main
 
 from conftest import FIXTURES, nested_and
@@ -202,6 +204,7 @@ def test_compare_table(capsys):
     ]
     assert len(lines) == 3
     assert lines[1].startswith("PSCR") and lines[2].startswith("SESE")
+    assert not [line for line in out.splitlines() if line != line.rstrip()]
 
 
 def test_compare_json_rows(capsys):
@@ -405,3 +408,51 @@ def test_closed_output_pipe_exits_141_quietly(argv):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+# ── README ───────────────────────────────────────────────────────────────────
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_examples_match_the_code(capsys, monkeypatch):
+    # the Library snippet: each commented value is what its line gives
+    (library,) = [b for b in _readme_blocks("python") if "analyze(old, new)" in b]
+    names = {"Decision": Decision}
+    shown = 0
+    for line in library.splitlines():
+        code, _, value = line.partition("  # ")
+        if value:
+            assert eval(code, names) == eval(value, names), line
+            shown += 1
+        else:
+            exec(code, names)
+    assert shown == 4
+    # the shown `$ wfregions ...` runs: the JSON fields of analyze, and
+    # the compare table line for line
+    monkeypatch.chdir(README.parent)
+    runs = {}
+    for block in _readme_blocks("sh"):
+        if block.startswith("$ wfregions "):
+            command, *output = block.replace("\\\n", " ").splitlines()
+            argv = shlex.split(command)[2:]
+            runs[argv[0]] = (argv, output)
+    argv, output = runs["analyze"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    fields = dict(
+        json.loads("{" + line.rstrip(",") + "}").popitem()
+        for line in output
+        if line.startswith('  "')
+    )
+    assert sorted(fields) == ["decision", "pscr", "pscr_exists", "scr"]
+    assert {key: payload[key] for key in fields} == fields
+    argv, output = runs["compare"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == output

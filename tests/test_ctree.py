@@ -31,7 +31,6 @@ from wfregions import (
     reachable_markings,
     sample_marking,
 )
-from wfregions.ctree import _block_holding
 from wfregions.randomnets import mutate_transpose_places
 
 from conftest import composed_pair, deep_tree, load_fixture
@@ -297,7 +296,7 @@ def _places_below(node: CNode) -> frozenset[str]:
 
 def test_reading_a_place_set_fills_every_node_below():
     c = build_ctree(deep_tree(3000))
-    assert c.place_set == places(c)
+    assert c.place_set == _places_below(c)
     # each node holds its own set, so a query below the root costs nothing
     assert all("place_set" in node.__dict__ for node in _nodes(c))
 
@@ -360,20 +359,21 @@ def test_a_tree_includes_itself_and_an_equal_copy():
 
 
 def test_block_lookup_index_equals_the_linear_scans():
-    # 30 parallel chunks in the root, plus every deeper node
+    # 30 parallel chunks in the root, plus every deeper node, one-block ones too
     c = build_ctree(composed_pair(11, chunks=30)[0])
     assert len(c.blocks) == 30
+    assert any(len(y.blocks) == 1 for y in _nodes(c))
     for y in _nodes(c):
         for p in sorted(y.place_set) + ["no_such_place"]:
             scan = next(
-                (b for b in y.blocks if any(p in f.place_set for f in b.branches)), None
+                ((b, j) for b in y.blocks for j, f in enumerate(b.branches) if p in f.place_set),
+                None,
             )
-            if len(y.blocks) == 1:
-                scan = y.blocks[0]
-            assert _block_holding(p, y) is scan
-            for b in y.blocks:
-                scan_j = next((j for j, f in enumerate(b.branches) if p in f.place_set), None)
-                assert b.branch_index.get(p) == scan_j
+            hit = y.branch_of.get(p)
+            if scan is None:
+                assert hit is None
+            else:
+                assert hit[0] is scan[0] and hit[1] == scan[1]
 
 
 # ── marking-preserving embedding ─────────────────────────────────────────────
@@ -396,6 +396,18 @@ def test_embedding_into_longer_branches():
     assert mpe_exists(narrow, wide)
     assert not mpe_exists(wide, narrow)
     assert markings_of(narrow) <= markings_of(wide)
+
+
+def test_no_embedding_when_a_product_spans_two_blocks_of_the_target():
+    # the marking {a, b} of x is no marking of y, where a and b lie in two
+    # blocks; b's branch index is one that a's block has, or one it lacks
+    a, b = CNode(("a",)), CNode(("b",))
+    x = CNode((CBlock((a, b)),))
+    for beside in ((CNode(("d",)),), (CNode(("d",)), CNode(("e",)))):
+        y = CNode((CBlock((a, CNode(("c",)))), CBlock((*beside, b))))
+        assert markings_of(x) == {frozenset("ab")} and frozenset("ab") not in markings_of(y)
+        assert not mpe_exists(x, y)
+        assert mpe_exists(x, CNode((CBlock((a, b)), CBlock((CNode(("c",)), *beside)))))
 
 
 def test_no_embedding_when_branch_counts_differ():
@@ -483,7 +495,7 @@ def test_every_tree_is_in_normal_form():
                     for branch in block.branches:
                         assert branch.elements
                         assert branch.own_places or len(branch.elements) > 1
-            assert places(tree) == tree.place_set
+            assert places(tree) == _places_below(tree)
 
 
 # ── properties on random trees ───────────────────────────────────────────────
