@@ -104,6 +104,36 @@ def test_gcs_unknown_place(nested):
         gcs("zz", nested)
 
 
+@pytest.mark.parametrize(
+    "tree, expected",
+    [
+        # an own place of the root, and below a block
+        (CNode(("a", CBlock((CNode(("a", "b")), CNode(("c",)))))), "{}"),
+        # in two blocks of one node
+        (CNode((CBlock((CNode(("b",)), CNode(("a", "x")))),
+                CBlock((CNode(("a", "y")), CNode(("c",)))))), "{b}"),
+        # in two branches of one block
+        (CNode((CBlock((CNode(("x", "a")), CNode(("a", "y")), CNode(("z",)))),)),
+         "{({a,y},{z})}"),
+        # at two depths, the deeper one first, then the shallower one first
+        (CNode((CBlock((CNode(("b", CBlock((CNode(("a",)), CNode(("c",)))))), CNode(("d",)))),
+                CBlock((CNode(("a",)), CNode(("e",)))))), "{({c},{d})}"),
+        (CNode((CBlock((CNode(("a",)), CNode(("e",)))),
+                CBlock((CNode(("b", CBlock((CNode(("c",)), CNode(("a",)))))), CNode(("d",)))))),
+         "{e}"),
+        # at two depths in one branch, and an own place listed after a block
+        (CNode(("r", CBlock((CNode(("x", CBlock((CNode(("a",)), CNode(("c",)))))),
+                             CNode(("d", "a")), CNode(("f",)))))), "{({c},{d,a},{f})}"),
+        (CNode(("r", CBlock((CNode(("b", CBlock((CNode(("a",)), CNode(("c",)))), "a")),
+                             CNode(("d",)))))), "{d}"),
+    ],
+)
+def test_gcs_of_a_repeated_label_reads_its_first_node(tree, expected):
+    # hand-built trees may repeat a label: gcs reads the first node holding
+    # it in preorder, a node's own places before the nodes below its blocks
+    assert mgs_text(gcs("a", tree)) == expected
+
+
 def test_gcs_generates_the_markings_concurrent_with_each_place():
     # every place outside the root node, on net trees and hand-built trees:
     # gcs(p) generates each marking holding p with p taken out
