@@ -25,9 +25,10 @@ whether every marking one tree generates is also generable by another.
 Membership of one marking (:func:`generates`) is that test on the marking's
 own tree.
 
-No function here recurses.  Every fold (building, place sets, sampling,
-deletion, rendering) is a generator run by ``ecws._drive``, and every visit
-of the nodes with their routes reads one preorder, :func:`_preorder`.
+No function here recurses.  Every walk (building, seeding the intern
+table, place sets, sampling, deletion, rendering) is a generator fold run by
+``ecws._drive``, and a place is found by following ``CNode.branch_of`` down
+from the root (:func:`locate`).
 
 The new net's tree can be built like the old one's, through an intern table
 (:func:`build_ctree`), so the two share every subtree they have in common,
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from collections.abc import Generator, Iterator
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -110,31 +111,15 @@ class CNode:
         return _drive(fold, self)
 
     @cached_property
-    def place_index(self) -> dict[str, "Route"]:
-        """Every place below this node mapped to its route, in one walk.
-
-        Places held by one node share one route object, so a route's
-        identity names the node.  A label occurring twice keeps the route of
-        its first node in walk order (own places before blocks).
-        """
-        index: dict[str, Route] = {}
-        for node, route in _preorder(self):
-            for el in node.elements:
-                if isinstance(el, str):
-                    index.setdefault(el, route)
-        return index
-
-    @cached_property
     def branch_of(self) -> dict[str, tuple["CBlock", int]]:
         """Every place below a block of this node mapped to the first block
         and the index of its first branch holding it, so a lookup costs one
         probe, not one per block or branch."""
         index: dict[str, tuple[CBlock, int]] = {}
-        for block in self.blocks:
-            for j, branch in enumerate(block.branches):
-                hit = (block, j)
-                for p in branch.place_set:
-                    index.setdefault(p, hit)
+        # last block and branch first, so the first one holding a place wins
+        for block in reversed(self.blocks):
+            for j in range(len(block.branches) - 1, -1, -1):
+                index.update(dict.fromkeys(block.branches[j].place_set, (block, j)))
         return index
 
 
@@ -157,22 +142,6 @@ class CBlock:
 
 
 CTree = CNode
-
-#: Route from a tree's root to a node: one (on-path block, branch index) step
-#: per nesting level.  The root's route is the empty tuple.
-Route = tuple[tuple[CBlock, int], ...]
-
-
-def _preorder(c: CTree) -> Iterator[tuple[CNode, Route]]:
-    """Every node of the tree with its route, in preorder: a node comes
-    before its blocks' branches, blocks and branches in order."""
-    stack: list[tuple[CNode, Route]] = [(c, ())]
-    while stack:
-        node, route = stack.pop()
-        yield node, route
-        for block in reversed(node.blocks):
-            for i in range(len(block.branches) - 1, -1, -1):
-                stack.append((block.branches[i], (*route, (block, i))))
 
 
 # ── construction ────────────────────────────────────────────────────────────
@@ -233,10 +202,15 @@ class _Interner:
     def __init__(self, like: CTree) -> None:
         self.nodes: dict[tuple[str | int, ...], CNode] = {}
         self.blocks: dict[tuple[int, ...], CBlock] = {}
-        for node, _ in _preorder(like):
+
+        def seed(node: CNode) -> Generator[CNode, None, None]:
             self.nodes.setdefault(_node_key(node.elements), node)
             for block in node.blocks:
                 self.blocks.setdefault(tuple(map(id, block.branches)), block)
+                for branch in block.branches:
+                    yield branch
+
+        _drive(seed, like)
 
     def node(self, elements: tuple[str | CBlock, ...]) -> CNode:
         key = _node_key(elements)
@@ -265,6 +239,23 @@ def places(c: CTree) -> frozenset[str]:
 # ── concurrent-submarking generator ─────────────────────────────────────────
 
 
+def locate(p: str, c: CTree) -> tuple[list[tuple[CBlock, int]], CNode]:
+    """The route to ``p`` and the node at its end: the chain of ``branch_of``
+    steps (a block and a branch index) from the root down to the first node
+    in preorder holding ``p`` as an own place (only a hand-built tree can
+    hold a label twice)."""
+    steps: list[tuple[CBlock, int]] = []
+    node = c
+    try:
+        while p not in node.own_places:
+            block, i = step = node.branch_of[p]
+            steps.append(step)
+            node = block.branches[i]
+    except KeyError:
+        raise UnknownPlaceError(f"place {p!r} does not occur in the tree") from None
+    return steps, node
+
+
 def gcs(p: str, c: CTree) -> CTree:
     """The sub-tree generating exactly the markings concurrent with ``p``.
 
@@ -273,9 +264,7 @@ def gcs(p: str, c: CTree) -> CTree:
     on-path one, in their order around it.  A place held by the root node is
     concurrent with nothing: its result is the empty tree.
     """
-    route = c.place_index.get(p)
-    if route is None:
-        raise UnknownPlaceError(f"place {p!r} does not occur in the tree")
+    route, _ = locate(p, c)
     if not route:
         return CNode(())
     before: list[CNode] = []

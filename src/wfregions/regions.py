@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .ctree import CTree, build_ctree, delete_places, gcs
-from .ctree import is_breakoff, mpe_exists, places
+from .ctree import is_breakoff, locate, mpe_exists, places
 from .ecws import BlockTree
 from .wfnet import Marking, MemberClass
 
@@ -58,35 +58,30 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
     concurrent in both nets are compared through their concurrent-submarking
     trees — failed marking inclusion means weak reformed concurrency, and weak
     plus a break-off of the places lost from (or new in) the concurrent
-    surroundings means strong.  A place's gcs depends only on its route,
-    so the reformed verdict is computed once per pair of old and new node.
-    Where the two routes start at one block object (an unchanged region of
-    trees built with ``build_ctree(new, like=old)``), the two gcs trees are
-    equal and the place is not reformed: no gcs is built and nothing is
-    checked.
+    surroundings means strong.  A place's gcs depends only on its route, the
+    chain of ``branch_of`` steps down to the node holding it, so the reformed
+    verdict is computed once per pair of old and new node.  Where one
+    outermost block object holds the place in both trees (an unchanged region
+    of trees built with ``build_ctree(new, like=old)``), the two routes are
+    one path, the two gcs trees are equal and the place is not reformed: no
+    route is followed, no gcs is built and nothing is checked.
     """
     r, lc, ac, wrc, src = set(), set(), set(), set(), set()
-    routes_new = c2.place_index
+    new_places, outer, outer2 = c2.place_set, c.branch_of, c2.branch_of
     verdicts: dict[tuple[int, int], tuple[bool, bool]] = {}
-    for p, route in c.place_index.items():
-        route2 = routes_new.get(p)
-        if route2 is None:
+    for p in c.place_set:
+        if p not in new_places:
             r.add(p)
-        elif route and not route2:
+        elif p in c.own_places:
+            if p not in c2.own_places:
+                ac.add(p)
+        elif p in c2.own_places:
             lc.add(p)
-        elif not route and route2:
-            ac.add(p)
-        elif route and route2:
-            # places of one node share one route object (see place_index)
-            key = (id(route), id(route2))
+        elif outer[p][0] is not outer2[p][0]:
+            key = (id(locate(p, c)[1]), id(locate(p, c2)[1]))
             verdict = verdicts.get(key)
             if verdict is None:
-                # one outermost block object holds p in both trees, and p
-                # occurs in it once, so both routes are its one path to p
-                if route[0][0] is route2[0][0]:
-                    verdict = verdicts[key] = (False, False)
-                else:
-                    verdict = verdicts[key] = _reformed(p, c, c2)
+                verdict = verdicts[key] = _reformed(p, c, c2)
             weak, strong = verdict
             if weak:
                 wrc.add(p)
@@ -133,8 +128,8 @@ def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
     exists = pscr_exists(c, c2, over, perf)
     classes = dict.fromkeys(over, MemberClass.OVERESTIMATION)
     classes.update(dict.fromkeys(perf, MemberClass.PERFECT_MEMBER))
-    # change_sets indexed every place of c, so the index lists them all
-    per_place = {p: classes.get(p, MemberClass.SAFE) for p in c.place_index}
+    # every old place, in sorted label order as the oracle lists them
+    per_place = {p: classes.get(p, MemberClass.SAFE) for p in sorted(c.place_set)}
     return AnalysisReport(
         change_sets=cs,
         over=over,

@@ -363,20 +363,23 @@ def test_deletion_rebuilds_only_the_paths_to_deleted_places():
     assert delete_places(c, set()) is c
     assert delete_places(c, {"no_such_place"}) is c
     before = {id(n) for n in _nodes(c)}
+    # each place's route: one (block, branch index) step per level below the
+    # root, and the node holding the place (labels of a net are distinct)
+    routes, stack = {}, [(c, ())]
+    while stack:
+        node, route = stack.pop()
+        routes.update(dict.fromkeys(node.own_places, (route, node)))
+        for block in node.blocks:
+            stack += [(branch, (*route, (id(block), i))) for i, branch in enumerate(block.branches)]
     # deep places whose node keeps another element, so no block is dropped
     deep = sorted(
-        p for p, route in c.place_index.items()
-        if len(route) >= 2 and len(route[-1][0].branches[route[-1][1]].elements) > 1
+        p for p, (route, node) in routes.items() if len(route) >= 2 and len(node.elements) > 1
     )
     for labels in ({deep[0]}, {deep[0], deep[-1]}):
         d = delete_places(c, labels)
         assert places(d) == places(c) - labels
         # a node is named by its route: the root and each node down to a label
-        on_paths = {
-            tuple((id(block), i) for block, i in c.place_index[p][:k])
-            for p in labels
-            for k in range(len(c.place_index[p]) + 1)
-        }
+        on_paths = {routes[p][0][:k] for p in labels for k in range(len(routes[p][0]) + 1)}
         assert sum(id(n) not in before for n in _nodes(d)) == len(on_paths)
 
 
@@ -453,11 +456,11 @@ def test_no_embedding_when_branch_counts_differ():
 
 
 def test_tree_outputs_are_pinned():
-    # the printed text, both renderings and the place order of every C-tree,
-    # the new one also built like the old one's, as analyze builds it
+    # the printed text and both renderings of every C-tree, the new one also
+    # built like the old one's, as analyze builds it
     pairs = [random_net_pair(random.Random(seed), 6, 30) for seed in range(2000)]
     pairs += [composed_pair(seed) for seed in range(10)]
-    digests = {name: hashlib.sha256() for name in ("text", "mgs", "dot", "order")}
+    digests = {name: hashlib.sha256() for name in ("text", "mgs", "dot")}
     for old, new in pairs:
         c = build_ctree(old)
         for tree in (old, new):
@@ -465,7 +468,6 @@ def test_tree_outputs_are_pinned():
         for ctree in (c, build_ctree(new), build_ctree(new, like=c)):
             digests["mgs"].update((mgs_text(ctree) + "\n").encode())
             digests["dot"].update((ctree_dot(ctree) + "\n").encode())
-            digests["order"].update((" ".join(ctree.place_index) + "\n").encode())
     assert {name: d.hexdigest() for name, d in digests.items()} == PINNED_TREE_OUTPUTS
 
 
@@ -473,7 +475,6 @@ PINNED_TREE_OUTPUTS = {
     "text": "728211c3ee4ee4d1e1dd02f58c7a949e154ebc1132b931d8f14d27d623e152f8",
     "mgs": "0466c7c98f6b10eca9e7f854dba7ef5f8babbeb4e697880d17040391b53efa13",
     "dot": "300860c2b36c3c20668d85ee4cfa294f8108730db1dfe633a518cf74f0bffbd3",
-    "order": "e1a530cf04f17dcceab939f79fe8f3e80b313a5fa774ce7bd319cbe8816fd322",
 }
 
 

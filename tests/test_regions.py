@@ -217,6 +217,14 @@ def test_sharing_leaves_every_fixture_report_unchanged(monkeypatch):
         assert report_json(analyze(old, new)) == report, (format_tree(old), format_tree(new))
 
 
+def test_per_place_lists_places_in_the_oracles_order():
+    # sorted label order on both sides, whatever the hash seed
+    names = sorted(path.stem for path in FIXTURES.glob("*.ecws"))
+    for old, new in (fixture_pair(a, b) for a in names for b in names):
+        oracle = oracle_classify(build_net(old), build_net(new))
+        assert list(analyze(old, new).per_place) == list(oracle.per_place)
+
+
 # ── SCR / PSCR on the fixture pairs ──────────────────────────────────────────
 
 
