@@ -17,12 +17,15 @@ directly after a decimal digit starts a new label, so ``p1t1p2`` reads as
 three labels.
 
 ``parse`` produces a validated block tree in one pass over the scanner's
-matches, building the tree as it goes.  It works out a line and column only
-when it raises: a shape error makes it read the text once more, noting where
-each element starts.  Only ``validate_tree`` checks that each label scans as
-one, since a parsed label does so by construction.  ``format_tree`` prints
-the canonical separator-free text, and ``build_net`` checks a tree with
-``validate_tree`` and wires it into a :class:`~wfregions.wfnet.WfNet`.
+tokens, building the tree and checking its shape as it goes, so a valid text
+is walked once.  It works out a line and column only when it raises: a shape
+error makes it read the text once more, noting where each element starts,
+and the shape check of ``validate_tree`` then names the fault.  Only
+``validate_tree`` checks that each label scans as one, since a parsed label
+does so by construction.  ``format_tree`` prints the canonical
+separator-free text, and ``build_net`` checks a tree with ``validate_tree``
+and wires it into a :class:`~wfregions.wfnet.WfNet`; neither checks a tree
+that ``parse`` returned or that passed the check before.
 ``branches_of`` is the one place that knows how each kind of block holds its
 sequences; ``walk``, ``seq_at`` and ``edit_seq`` visit, find and rebuild
 sequences by their :data:`SeqPath`.
@@ -34,8 +37,10 @@ and every fold in ``ctree`` run on it.  Neither recurses.
 from __future__ import annotations
 
 import re
+import weakref
 from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from .errors import DuplicateLabelError, LexError, ParseError
@@ -195,9 +200,11 @@ def edit_seq(
 _LABEL = re.compile(r"[^\W\d](?:[\d_]|(?<!\d)\w)*")
 
 #: Separators (whitespace, commas, a ``#`` comment to the end of the line),
-#: then a label, a bracket, an illegal character, or the end of the text.
-#: One of the four always matches after the separators, so none backtracks.
-_TOKEN = re.compile(rf"(?:[\s,]|#.*)*(?:({_LABEL.pattern})|([()\[\]{{}}])|(.)|\Z)")
+#: then one token: a label, a bracket, the empty end of the text, or an
+#: illegal character, which takes all the rest of the text with it.  One of
+#: the four always matches after the separators, so none backtracks, and
+#: ``findall`` lists the tokens as strings.
+_TOKEN = re.compile(rf"(?:[\s,]|#.*)*({_LABEL.pattern}|[()\[\]{{}}]|\Z|(?s:.+))")
 
 
 def parse_marking(text: str) -> Marking:
@@ -232,6 +239,7 @@ _BLOCKS: dict[type, tuple[str, str, tuple[type, type]]] = {
 }
 _OPENS = {brackets[0]: kind for kind, (brackets, _, _) in _BLOCKS.items()}
 _CLOSER = {brackets[0]: brackets[1] for brackets, _, _ in _BLOCKS.values()}
+_BRACKETS = {*_OPENS, *_CLOSER.values()}
 
 
 def parse(text: str) -> BlockTree:
@@ -241,80 +249,106 @@ def parse(text: str) -> BlockTree:
     an illegal character anywhere in the text is reported before any other
     error.
     """
-    tree = _read(text)
-    if _validate(tree) is None:
-        return tree
-    # read the text again, noting where each element starts, to place the fault
-    at: dict[int, int] = {}
-    cls, message, el = _validate(_read(text, at))
-    raise cls(message, *_line_col(text, at[id(el)]))
+    tree, valid = _read(text)
+    if not valid:
+        # read the text again, noting where each element starts, and let the
+        # shape check pick the fault to report
+        at: dict[int, int] = {}
+        cls, message, el = _validate(_read(text, at)[0])
+        raise cls(message, *_line_col(text, _offset(text, at[id(el)])))
+    _valid[id(tree)] = tree
+    return tree
 
 
-def _read(text: str, at: dict[int, int] | None = None) -> BlockTree:
-    """Pair the brackets of ``text`` into a tree, leaving its shape unchecked.
+#: Every live tree that :func:`parse` returned or :func:`validate_tree`
+#: passed, by ``id`` (hashing a tree would walk it).  Trees are immutable, so
+#: :func:`validate_tree` and :func:`build_net` check none of them again.
+_valid: weakref.WeakValueDictionary[int, BlockTree] = weakref.WeakValueDictionary()
 
-    One pass over the scanner's matches: a label is a place or a transition
-    by its slot in its sequence, and a run of groups in the same brackets is
-    one block.  Given ``at``, it receives the offset of every label, block
-    and bracketed sequence, for the shape check's errors.
+
+def _read(text: str, at: dict[int, int] | None = None) -> tuple[BlockTree, bool]:
+    """Pair the brackets of ``text`` into a tree, checking its shape as it goes.
+
+    One pass over the scanner's tokens: a label is a place or a transition by
+    its slot in its sequence, and a run of groups in the same brackets is one
+    block.  Raises the reader's own errors; returns the tree and whether it
+    passes the shape check of :func:`_validate`.  Given ``at``, it receives
+    the token index of every label, block and bracketed sequence, for the
+    shape check's errors.
     """
-    # the text, not a tree, drives this loop, so it keeps its own stack
-    matches = _TOKEN.finditer(text)
+    tokens = _TOKEN.findall(text)
+    # an illegal character is the text's error, whatever else is wrong; its
+    # token takes the rest of the text, so only the end token follows it
+    last = tokens[-2] if len(tokens) > 1 else ""
+    if last and last not in _BRACKETS and not _LABEL.match(last):
+        raise _error(f"illegal character {last[0]!r}", text, len(tokens) - 2, LexError)
+    # the text, not a tree, drives this loop, so it keeps its own stack of
     # the enclosing sequences: children, first slot (1 if a transition's),
-    # opening match, and the run of groups that the open group belongs to
-    stack: list[tuple[list, int, re.Match | None, list]] = []
+    # opening token, and the run of groups that the open group belongs to
+    stack: list[tuple[list, int, int, list]] = []
     children: list[Element] = []
-    first, opener = 0, None
-    run: list | None = None  # a run of groups ending the sequence: opening match, groups
-    for m in matches:
-        kind = m.lastindex  # 1 label, 2 bracket, 3 illegal character, None the end
-        if kind == 3:
-            raise _illegal(text, m)
-        if run is not None and (kind != 2 or m[2] != run[0][2]):
+    first = opened = 0
+    run: list | None = None  # a run of groups ending the sequence: opening token, groups
+    labels: list[str] = []
+    valid = True
+    for k, token in enumerate(tokens):
+        if run is not None and token != tokens[run[0]]:
             start, *seqs = run
-            block_type = _OPENS[start[2]]
+            block_type = _OPENS[tokens[start]]
             if block_type is not LoopBlock:
                 block = block_type(tuple(seqs))
+                if len(seqs) < 2:
+                    valid = False
             elif len(seqs) == 2:
                 block = LoopBlock(*seqs)
             else:
-                message = "a loop block needs a forward and a back part"
-                raise _reader_error(message, text, start.start(2), matches)
+                raise _error("a loop block needs a forward and a back part", text, start)
+            # a block follows a label, in a slot of its kind
+            i = len(children)
+            if not (i and isinstance(children[-1], (Place, Transition))
+                    and (i + first) % 2 == (block_type is XorBlock)):
+                valid = False
             if at is not None:
-                at[id(block)] = start.start(2)
+                at[id(block)] = start
             children.append(block)
             run = None
-        if kind == 1:
-            label = (Transition if (len(children) + first) % 2 else Place)(m[1])
-            if at is not None:
-                at[id(label)] = m.start(1)
-            children.append(label)
-        elif kind == 2:
-            bracket = m[2]
-            if bracket in _OPENS:
-                if len(stack) == MAX_NESTING:
-                    message = f"bracket nesting deeper than {MAX_NESTING} levels"
-                    raise _reader_error(message, text, m.start(2), matches)
-                run = run or [m]
-                stack.append((children, first, opener, run))
-                first = _BLOCKS[_OPENS[bracket]][2][len(run) > 1] is Transition
-                children, opener, run = [], m, None
-            elif stack and bracket == _CLOSER[opener[2]]:
-                seq = SeqBlock(tuple(children))
+        if token not in _BRACKETS:
+            if token:
+                leaf = (Transition if (len(children) + first) % 2 else Place)(token)
                 if at is not None:
-                    at[id(seq)] = opener.start(2)
-                children, first, opener, run = stack.pop()
-                run.append(seq)
-            else:
-                message = (f"expected {_CLOSER[opener[2]]!r}, got {bracket!r}" if stack
-                           else f"unexpected {bracket!r} after the net")
-                raise _reader_error(message, text, m.start(2), matches)
+                    at[id(leaf)] = k
+                children.append(leaf)
+                labels.append(token)
+        elif token in _OPENS:
+            if len(stack) == MAX_NESTING:
+                raise _error(f"bracket nesting deeper than {MAX_NESTING} levels", text, k)
+            run = run or [k]
+            stack.append((children, first, opened, run))
+            first = _BLOCKS[_OPENS[token]][2][len(run) > 1] is Transition
+            children, opened, run = [], k, None
+        elif stack and token == _CLOSER[tokens[opened]]:
+            # a sequence ends in a label of its border kind; as a label takes
+            # the kind of its slot, that is an odd count ending in a label
+            if not (len(children) % 2 and isinstance(children[-1], (Place, Transition))):
+                valid = False
+            seq = SeqBlock(tuple(children))
+            if at is not None:
+                at[id(seq)] = opened
+            children, first, opened, run = stack.pop()
+            run.append(seq)
+        else:
+            message = (f"expected {_CLOSER[tokens[opened]]!r}, got {token!r}" if stack
+                       else f"unexpected {token!r} after the net")
+            raise _error(message, text, k)
     if stack:
-        message = f"expected {_CLOSER[opener[2]]!r}, got end of input"
+        message = f"expected {_CLOSER[tokens[opened]]!r}, got end of input"
         raise ParseError(message, *_line_col(text, len(text)))
     if not children:
         raise LexError("empty input", *_line_col(text, len(text)))
-    return SeqBlock(tuple(children))
+    if not (len(children) % 2 and isinstance(children[-1], (Place, Transition))):
+        valid = False
+    # no label occurs twice
+    return SeqBlock(tuple(children)), valid and len(set(labels)) == len(labels)
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -322,18 +356,15 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _illegal(text: str, m: re.Match) -> LexError:
-    return LexError(f"illegal character {m[3]!r}", *_line_col(text, m.start(3)))
+def _offset(text: str, k: int) -> int:
+    """Where token ``k`` starts, past its separators: the reader keeps no
+    offsets, so only an error scans the text again."""
+    return next(islice(_TOKEN.finditer(text), k, None)).start(1)
 
 
-def _reader_error(message: str, text: str, pos: int, rest: Iterator[re.Match]) -> ParseError:
-    """The reader's error at offset ``pos``, unless the scanner's remaining
-    matches ``rest`` hold an illegal character: an illegal character anywhere
-    is the text's error, whatever the reader stopped at before it."""
-    for m in rest:
-        if m.lastindex == 3:
-            return _illegal(text, m)
-    return ParseError(message, *_line_col(text, pos))
+def _error(message: str, text: str, k: int, cls: type[ParseError] = ParseError) -> ParseError:
+    """The reader's error at token ``k``."""
+    return cls(message, *_line_col(text, _offset(text, k)))
 
 
 # ── validation ──────────────────────────────────────────────────────────────
@@ -345,11 +376,16 @@ def validate_tree(tree: BlockTree) -> None:
     Raises ParseError for shape violations and for a label that does not
     scan as one label (it would break the parse/format round trip), and
     DuplicateLabelError when any label (place or transition) occurs twice.
+    A tree that :func:`parse` returned, or that passed before, it does not
+    walk again.
     """
+    if _valid.get(id(tree)) is tree:
+        return
     fault = _validate(tree, scan=True)
     if fault is not None:
         cls, message, _ = fault
         raise cls(message)
+    _valid[id(tree)] = tree
 
 
 #: What the shape check found wrong: the error class, its message, and the
@@ -358,13 +394,15 @@ _Fault = tuple[type[ParseError], str, object]
 
 
 def _validate(tree: BlockTree, scan: bool = False) -> _Fault | None:
-    """The one shape check of :func:`parse` and :func:`validate_tree`.
+    """The shape check of :func:`validate_tree`, and of :func:`parse` on a
+    text its reader found at fault, where it picks the fault to report.
 
     A sequence alternates place-like and transition-like elements and has a
     label of its border kind at each end; a block follows a label, and a
     parallel or choice block has 2+ branches.  No label may occur twice and,
     given ``scan``, each must scan as one label; a parsed label does so by
-    construction.  Returns the first fault, or None.
+    construction.  Returns the first fault, or None.  The reader checks the
+    same rules as it builds a tree, and finds a fault exactly where this does.
     """
     labels: list[Place | Transition] = []
     # each sequence, its border kind and the closing bracket after it; an own
@@ -486,8 +524,10 @@ def format_tree(tree: BlockTree) -> str:
 
 
 def build_net(tree: BlockTree) -> WfNet:
-    """Validate a block tree (see :func:`validate_tree`, whose errors it
-    raises) and wire it into a workflow net.
+    """Wire a valid block tree into a workflow net.
+
+    The tree is checked first with :func:`validate_tree`, whose errors it
+    raises, unless :func:`parse` returned it or it passed that check before.
 
     Adjacent sequence elements are connected exit-to-entry.  A parallel
     block's entries are the first places of its branches (fed by the fork)

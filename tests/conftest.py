@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,38 @@ def composed_pair(seed: int, chunks: int = 6, changed: tuple[int, int] | None = 
                 branches += "(" + prefixed(pair[version], f"s{k}{i}_") + ")"
             texts[side] += f" a{k} {branches} b{k} w{k + 1}"
     return parse(texts[0]), parse(texts[1])
+
+
+#: Bytes that a byte-level mutation inserts: every bracket, the separators,
+#: a comment, an illegal character and a few label characters.
+MUTATION_BYTES = b"()[]{} ,\n#$pt1_"
+
+
+@cache
+def mutated_texts(count: int = 3000, seed: int = 20261019) -> tuple[bytes, ...]:
+    """``count`` seeded byte-level mutations of the fixture texts and of the
+    40 texts of ``composed_pair`` seeds 0-19.  Each applies one to three
+    edits: delete a run of 1-4 bytes, insert or overwrite one byte of
+    :data:`MUTATION_BYTES`, or repeat a run of 1-8 bytes."""
+    bases = [path.read_bytes() for path in sorted(FIXTURES.glob("*.ecws"))]
+    bases += [format_tree(tree).encode() for s in range(20) for tree in composed_pair(s)]
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        data = bytearray(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(data) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:
+                del data[i : i + rng.randint(1, 4)]
+            elif edit == 1:
+                data[i:i] = bytes([rng.choice(MUTATION_BYTES)])
+            elif edit == 2:
+                data[i : i + 1] = bytes([rng.choice(MUTATION_BYTES)])
+            else:
+                data[i:i] = data[i : i + rng.randint(1, 8)]
+        texts.append(bytes(data))
+    return tuple(texts)
 
 
 def fixture_pair(old: str, new: str) -> tuple[BlockTree, BlockTree]:

@@ -16,7 +16,7 @@ import wfregions.cli as cli
 from wfregions import Decision
 from wfregions.cli import main
 
-from conftest import FIXTURES, nested_and
+from conftest import FIXTURES, mutated_texts, nested_and
 
 
 def fx(name: str) -> str:
@@ -170,6 +170,20 @@ def test_analyze_nesting_bound(capsys, tmp_path, depth, code):
     assert "Traceback" not in err
     if code:
         assert "nesting" in err
+
+
+def test_mutated_texts_exit_0_or_2_with_a_position(capsys, tmp_path):
+    # every 10th of the pinned byte-level mutations, read whole by the CLI
+    path = tmp_path / "net.ecws"
+    for data in mutated_texts()[::10]:
+        path.write_bytes(data)
+        code, out, err = run(capsys, "analyze", str(path), str(path))
+        assert "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["scr"] == []
+        else:
+            assert code == 2 and out == ""
+            assert re.fullmatch(rf"error: {re.escape(str(path))}:\d+:\d+: .+\n", err)
 
 
 # ── oracle ───────────────────────────────────────────────────────────────────

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from wfregions import (
     random_tree,
     validate_tree,
 )
+import wfregions.ecws as ecws
 from wfregions.ecws import (
     MAX_NESTING,
     edit_seq,
@@ -33,7 +35,7 @@ from wfregions.ecws import (
     walk,
 )
 
-from conftest import FIXTURES, deep_tree, load_fixture, nested_and
+from conftest import FIXTURES, composed_pair, deep_tree, load_fixture, mutated_texts, nested_and
 from ecws_reference import reference_parse, reference_tokenize
 
 # The six showcase strings: a plain sequence, a fork-join in a sequence, a
@@ -382,6 +384,25 @@ def test_error_positions_on_multi_line_input(text, cls, message, position):
     assert (err.value.line, err.value.col) == position
 
 
+def _parse_outcome(text: str) -> str:
+    try:
+        return "ok " + format_tree(parse(text))
+    except ParseError as exc:
+        return f"{type(exc).__name__} {exc.line}:{exc.col} {exc.message}"
+
+
+def test_parse_outcomes_of_mutated_texts_are_pinned():
+    # the tree, or the error class, position and message, of 3,000 broken
+    # and unbroken texts; where a text has several faults this pins which
+    # one is reported
+    digest = hashlib.sha256()
+    for data in mutated_texts():
+        digest.update((_parse_outcome(data.decode()) + "\n").encode())
+    assert digest.hexdigest() == (
+        "ecd1cf9acd9f6c46cc37ec81737e170a820c6a75185aa4c155eef95e4cf2a570"
+    )
+
+
 def test_end_of_input_is_after_a_trailing_comment():
     # the reference lexer left the end-of-input column at the '#'
     with pytest.raises(ParseError) as err:
@@ -525,6 +546,36 @@ def test_build_net_rejects_invalid_trees_built_in_code():
     ))
     with pytest.raises(ParseError, match="at least 2 branches"):
         build_net(one_branch)
+
+
+def test_the_shape_check_runs_once_per_tree(monkeypatch):
+    # parse checks the shape as it reads, and build_net trusts what parse
+    # returned; a tree built in code is checked once, by whichever function
+    # sees it first
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ecws"))]
+    texts += [format_tree(tree) for seed in range(20) for tree in composed_pair(seed)]
+    calls = []
+    check = ecws._validate
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return check(*args, **kw)
+
+    monkeypatch.setattr(ecws, "_validate", counted)
+    for text in texts:
+        build_net(parse(text))
+    assert calls == []
+    tree = deep_tree(30)
+    validate_tree(tree)
+    assert len(calls) == 1
+    validate_tree(tree)
+    build_net(tree)
+    assert len(calls) == 1
+    build_net(deep_tree(30))
+    assert len(calls) == 2
+    # random trees are checked as they are drawn
+    build_net(random_tree(random.Random(1)))
+    assert len(calls) == 3
 
 
 def _assert_wired_from_source_to_sink(net) -> None:
