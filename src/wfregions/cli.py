@@ -137,28 +137,26 @@ def compare_rows(
     markings = sorted(oracle.reachable_old, key=marking_text)
 
     rows = []
+    # bound once: each is read per marking
+    migratable, non_migratable = Decision.MIGRATABLE, Decision.NON_MIGRATABLE
+    unknown = Decision.UNKNOWN
+    bad, improved = oracle.non_migratable, region.improved_places
     scored = [
         ("PSCR" if report.pscr_exists else "SCR",
          lambda m: decide_marking(m, report)),
         ("SESE",
-         lambda m: Decision.NON_MIGRATABLE
-         if m & region.improved_places
-         else Decision.MIGRATABLE),
+         lambda m: migratable if m.isdisjoint(improved) else non_migratable),
     ]
     for approach, decide in scored:
         correct = false_neg = false_pos = unknowns = 0
         for m in markings:
-            truth = (
-                Decision.NON_MIGRATABLE
-                if m in oracle.non_migratable
-                else Decision.MIGRATABLE
-            )
+            truth = non_migratable if m in bad else migratable
             got = decide(m)
-            if got is Decision.UNKNOWN:
+            if got is unknown:
                 unknowns += 1
             elif got is truth:
                 correct += 1
-            elif got is Decision.NON_MIGRATABLE:
+            elif got is non_migratable:
                 false_neg += 1
             else:
                 false_pos += 1

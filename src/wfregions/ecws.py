@@ -197,7 +197,15 @@ def edit_seq(
 #: characters, except that a letter directly after a decimal digit starts the
 #: next label, so ``p1t1`` is two labels.  A letter is a word character other
 #: than ``_`` and the decimal digits, so numerals such as ``²`` and ``½`` count.
-_LABEL = re.compile(r"[^\W\d](?:[\d_]|(?<!\d)\w)*")
+#: The pattern reads a label as letters or underscores, then digit runs each
+#: closed by ``_`` and followed by letters or underscores, then one last digit
+#: run.  ``[^\W\d]`` and ``\d`` share no character and only the ``_`` that
+#: closes a digit run leads on from it, so each character matches in one way:
+#: no repeat is ambiguous, and a match that fails does so in linear time.
+#: Writing the repeat as ``[\d_]`` or a word character not after a digit would
+#: let a digit after ``_`` match either way, and each ``_1`` of ``a1_1_…_1!``
+#: would double the ways the match can fail.
+_LABEL = re.compile(r"[^\W\d]+(?:\d+_[^\W\d]*)*\d*")
 
 #: Separators (whitespace, commas, a ``#`` comment to the end of the line),
 #: then one token: a label, a bracket, the empty end of the text, or an

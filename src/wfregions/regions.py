@@ -28,6 +28,12 @@ class Decision(Enum):
     UNKNOWN = "unknown"
 
 
+# bound once: a ``Decision.X`` lookup costs more than the set test it answers
+_MIGRATABLE = Decision.MIGRATABLE
+_NON_MIGRATABLE = Decision.NON_MIGRATABLE
+_UNKNOWN = Decision.UNKNOWN
+
+
 @dataclass(frozen=True)
 class ChangeSets:
     """Old-net places grouped by change property (mutually disjoint except
@@ -126,10 +132,10 @@ def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
     over = cs.cr_wrc - cs.cr_src
     perf = cs.cr_r | cs.cr_lc | cs.cr_ac | cs.cr_src
     exists = pscr_exists(c, c2, over, perf)
-    classes = dict.fromkeys(over, MemberClass.OVERESTIMATION)
-    classes.update(dict.fromkeys(perf, MemberClass.PERFECT_MEMBER))
     # every old place, in sorted label order as the oracle lists them
-    per_place = {p: classes.get(p, MemberClass.SAFE) for p in sorted(c.place_set)}
+    per_place = dict.fromkeys(sorted(c.place_set), MemberClass.SAFE)
+    per_place.update(dict.fromkeys(over, MemberClass.OVERESTIMATION))
+    per_place.update(dict.fromkeys(perf, MemberClass.PERFECT_MEMBER))
     return AnalysisReport(
         change_sets=cs,
         over=over,
@@ -151,12 +157,12 @@ def decide_marking(m: Marking, report: AnalysisReport) -> Decision:
     """
     if report.pscr_exists:
         assert report.pscr is not None
-        return Decision.NON_MIGRATABLE if m & report.pscr else Decision.MIGRATABLE
-    if not m & report.scr:
-        return Decision.MIGRATABLE
-    if m & report.perf:
-        return Decision.NON_MIGRATABLE
-    return Decision.UNKNOWN
+        return _MIGRATABLE if m.isdisjoint(report.pscr) else _NON_MIGRATABLE
+    if m.isdisjoint(report.scr):
+        return _MIGRATABLE
+    if not m.isdisjoint(report.perf):
+        return _NON_MIGRATABLE
+    return _UNKNOWN
 
 
 def report_json(report: AnalysisReport) -> dict:

@@ -6,10 +6,15 @@ the recursive-descent parser and the parse entry point that
 word for word (only ``tokenize`` and ``parse`` renamed to ``reference_*``),
 so that ``tests/test_ecws.py`` can require the reader that replaced them to
 accept the same texts, build the same trees and raise the same error classes.
+
+``REFERENCE_LABEL`` and ``REFERENCE_TOKEN`` are the regex scanner's first
+label pattern and the token pattern built on it, kept word for word: the
+label pattern that replaced it must scan every text the same way.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from wfregions.ecws import (
@@ -30,6 +35,14 @@ _PLACE_LIKE = (Place, AndBlock, LoopBlock)
 _TRANS_LIKE = (Transition, XorBlock)
 
 _BRACKETS = "()[]{}"
+
+#: A digit after ``_`` matches either alternative, so a failing match on
+#: ``a1_1_…_1!`` with k pairs ``1_`` takes about 2**k ways: keep test
+#: strings short.
+REFERENCE_LABEL = re.compile(r"[^\W\d](?:[\d_]|(?<!\d)\w)*")
+REFERENCE_TOKEN = re.compile(
+    rf"(?:[\s,]|#.*)*({REFERENCE_LABEL.pattern}|[()\[\]{{}}]|\Z|(?s:.+))"
+)
 
 
 @dataclass(frozen=True)

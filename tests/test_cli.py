@@ -23,6 +23,12 @@ def fx(name: str) -> str:
     return str(FIXTURES / f"{name}.ecws")
 
 
+def _src_env() -> dict[str, str]:
+    """The environment for a CLI subprocess that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -107,6 +113,20 @@ def test_analyze_malformed_marking(capsys):
     )
     assert code == 3
     assert "malformed" in err
+
+
+def test_a_marking_that_does_not_scan_fails_fast():
+    # in its own process, so a label pattern that backtracks exponentially
+    # fails the timeout instead of hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "wfregions.cli", "analyze", fx("claims_old"), fx("claims_new"),
+         "--marking", "a" + "1_" * 40 + "!"],
+        capture_output=True,
+        env=_src_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert b"is not a label" in proc.stderr and b"Traceback" not in proc.stderr
 
 
 def test_analyze_marking_with_a_repeated_label(capsys):
@@ -408,14 +428,12 @@ def test_closed_output_pipe_exits_141_quietly(argv):
     # as in ``wfregions ... | head -1``: the reader leaves before the output
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "wfregions.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_src_env(),
             timeout=120,
         )
     finally:

@@ -21,6 +21,7 @@ from wfregions import (
     build_net,
     format_tree,
     parse,
+    parse_marking,
     place_labels,
     mutate,
     random_tree,
@@ -36,7 +37,7 @@ from wfregions.ecws import (
 )
 
 from conftest import FIXTURES, composed_pair, deep_tree, load_fixture, mutated_texts, nested_and
-from ecws_reference import reference_parse, reference_tokenize
+from ecws_reference import REFERENCE_LABEL, REFERENCE_TOKEN, reference_parse, reference_tokenize
 
 # The six showcase strings: a plain sequence, a fork-join in a sequence, a
 # one-shot choice, a nested fork-join, a loop, and a loop with a choice in
@@ -427,6 +428,33 @@ def test_validate_tree_rejects_labels_that_do_not_scan_as_one():
     for label in ("p1a", "1p", "p 1", "p-1", ""):
         with pytest.raises(ParseError, match="does not scan"):
             validate_tree(SeqBlock((Place("p0"), Transition("t0"), Place(label))))
+
+
+#: Letters, ``_``, digits, numerals that count as letters, separators, a
+#: comment sign, brackets and illegal characters.
+_SCAN_ALPHABET = [*"abzXY_0123456789²½٣é ,\n\t#()[]{}!$-"]
+
+
+def test_label_pattern_scans_like_the_reference():
+    # the reference pattern backtracks exponentially on failing labels, so
+    # the strings stay short; every start offset is matched as well
+    rng = random.Random(20261019)
+    for _ in range(4000):
+        text = "".join(rng.choices(_SCAN_ALPHABET, k=rng.randint(0, 14)))
+        assert ecws._TOKEN.findall(text) == REFERENCE_TOKEN.findall(text), text
+        assert bool(ecws._LABEL.fullmatch(text)) == bool(REFERENCE_LABEL.fullmatch(text)), text
+        for i in range(len(text) + 1):
+            got, want = ecws._LABEL.match(text, i), REFERENCE_LABEL.match(text, i)
+            assert (got and got.span()) == (want and want.span()), (text, i)
+
+
+def test_a_label_that_fails_late_fails_fast():
+    # each ``1_`` doubled the ways the first label pattern could fail here
+    label = "a" + "1_" * 40 + "!"
+    with pytest.raises(ValueError, match="is not a label"):
+        parse_marking(label)
+    with pytest.raises(ParseError, match="does not scan"):
+        validate_tree(SeqBlock((Place(label),)))
 
 
 # ── label queries ────────────────────────────────────────────────────────────

@@ -35,11 +35,13 @@ from wfregions import (
     pscr_exists,
     random_net_pair,
     random_tree,
+    reachable_markings,
     report_json,
 )
 from wfregions.randomnets import mutate_transpose_places
 
 from conftest import FIXTURES, composed_pair, deep_tree, fixture_pair
+from regions_reference import reference_decide_marking
 
 
 def analyzed(old_name: str, new_name: str):
@@ -426,6 +428,29 @@ def test_decide_unknown_only_without_perfect_region():
         assert report.pscr_exists
         for m in oracle_classify(build_net(old), build_net(new)).reachable_old:
             assert decide_marking(m, report) is not Decision.UNKNOWN
+
+
+def test_decisions_equal_the_reference(corpus):
+    # every reachable old marking of every ordered fixture pair and of the
+    # corpus, as a frozenset and as a plain set: the same member each time
+    names = sorted(path.stem for path in FIXTURES.glob("*.ecws"))
+    pairs = [fixture_pair(a, b) for a in names for b in names]
+    seen: Counter = Counter()
+    for old, new in [*pairs, *corpus]:
+        report = analyze(old, new)
+        for m in reachable_markings(build_net(old)):
+            want = reference_decide_marking(m, report)
+            assert decide_marking(m, report) is want, (format_tree(old), format_tree(new), sorted(m))
+            assert decide_marking(set(m), report) is want
+            seen[report.pscr_exists, want] += 1
+    # both answers with a perfect region, all three without one
+    assert set(seen) == {
+        (True, Decision.MIGRATABLE),
+        (True, Decision.NON_MIGRATABLE),
+        (False, Decision.MIGRATABLE),
+        (False, Decision.NON_MIGRATABLE),
+        (False, Decision.UNKNOWN),
+    }
 
 
 # ── serialization ────────────────────────────────────────────────────────────
