@@ -16,9 +16,12 @@ from wfregions import (
     XorBlock,
     format_tree,
     parse,
+    mutate,
     random_net_pair,
+    random_tree,
 )
 from wfregions.ecws import edit_seq, walk
+from wfregions.randomnets import mutate_transpose_places
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -69,6 +72,20 @@ def prefixed(tree: BlockTree, prefix: str) -> str:
     for path, _ in list(walk(tree)):
         tree = edit_seq(tree, path, relabel)
     return format_tree(tree)
+
+
+def transposition_pair(seed: int) -> tuple[BlockTree, BlockTree]:
+    """The transposition corpus pair of one seed: 1-2 steps, each a place
+    transposition with probability 0.5 and a default-family mutation
+    otherwise."""
+    rng = random.Random(seed)
+    old = new = random_tree(rng, 6, 20)
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.5:
+            new = mutate_transpose_places(new, rng) or new
+        else:
+            new = mutate(new, rng)
+    return old, new
 
 
 def composed_pair(seed: int, chunks: int = 6, changed: tuple[int, int] | None = None):

@@ -38,7 +38,7 @@ from wfregions.randomnets import (
     mutate_transpose_places,
 )
 
-from conftest import fixture_pair
+from conftest import fixture_pair, transposition_pair
 
 MUTATIONS = [
     mutate_insert_place,
@@ -203,26 +203,13 @@ def test_transposed_places_stay_sound():
     assert unknowns == 0
 
 
-def _transposition_pair(seed: int):
-    """The corpus pair of one seed: 1-2 steps, each a place transposition
-    with probability 0.5 and a default-family mutation otherwise."""
-    rng = random.Random(seed)
-    old = new = random_tree(rng, 6, 20)
-    for _ in range(rng.randint(1, 2)):
-        if rng.random() < 0.5:
-            new = mutate_transpose_places(new, rng) or new
-        else:
-            new = mutate(new, rng)
-    return old, new
-
-
 def test_transposition_corpus_agrees_with_oracle():
     """The weak reformed class is exact: a place concurrent in both nets is
     weak iff it occurs in a reachable old marking the new net cannot reach
     (sequential places are the ones that are marked alone).  No definite
     decision is wrong."""
     for seed in range(800):
-        old, new = _transposition_pair(seed)
+        old, new = transposition_pair(seed)
         report = analyze(old, new)
         oracle = oracle_classify(build_net(old), build_net(new))
         new_places = build_net(new).places

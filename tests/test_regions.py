@@ -40,7 +40,7 @@ from wfregions import (
 )
 from wfregions.randomnets import mutate_transpose_places
 
-from conftest import FIXTURES, composed_pair, deep_tree, fixture_pair
+from conftest import FIXTURES, composed_pair, deep_tree, fixture_pair, transposition_pair
 from regions_reference import reference_decide_marking
 
 
@@ -318,6 +318,24 @@ def test_existence_denied_for_branch_swap():
     over, perf = report.over, report.perf
     assert over == {"p2", "p3", "p4", "p5"} and perf == frozenset()
     assert pscr_exists(c, c2, over, perf) is False
+
+
+def test_existence_equals_the_two_sided_deletion(corpus):
+    # every old marking without a perfect member avoids them, so deleting
+    # them from the new tree as well changes no answer
+    outcomes = Counter()
+    pairs = [*corpus, *map(transposition_pair, range(800))]
+    for old, new in pairs:
+        c = build_ctree(old)
+        c2 = build_ctree(new, like=c)
+        cs = change_sets(c, c2)
+        over = cs.cr_wrc - cs.cr_src
+        perf = cs.cr_r | cs.cr_lc | cs.cr_ac | cs.cr_src
+        if over:
+            want = mpe_exists(delete_places(c, perf), delete_places(c2, perf))
+            assert pscr_exists(c, c2, over, perf) is want, (format_tree(old), format_tree(new))
+            outcomes[want] += 1
+    assert outcomes[True] and outcomes[False], outcomes
 
 
 # ── oracle agreement on every fixture pair ───────────────────────────────────

@@ -3,15 +3,20 @@ single-entry/single-exit expansion, and the trimmed variant."""
 
 from __future__ import annotations
 
+import random
+
 from wfregions import (
     build_net,
     dynamic_region,
+    format_tree,
     improved_region,
+    random_net_pair,
     sese_region,
     static_region,
 )
 
-from conftest import fixture_pair
+from conftest import FIXTURES, fixture_pair, load_fixture
+from sese_reference import reference_dynamic_region
 
 
 def regions_for(old_name: str, new_name: str):
@@ -75,3 +80,27 @@ def test_pipeline_steps_compose():
     assert (reg.static_nodes, reg.dynamic_places, reg.improved_places) == (
         static, dynamic, improved_region(old, dynamic)
     )
+
+
+# ── the region over sequence objects equals the one over paths ───────────────
+
+
+def _sese_pairs(corpus):
+    names = sorted(path.stem for path in FIXTURES.glob("*.ecws"))
+    yield from ((load_fixture(a), load_fixture(b)) for a in names for b in names)
+    yield from corpus
+    rng = random.Random(7)
+    for _ in range(1000):
+        yield random_net_pair(rng, 6, 40)
+
+
+def test_dynamic_region_equals_the_path_reference(corpus):
+    grown = 0
+    for old, new in _sese_pairs(corpus):
+        old_net, new_net = build_net(old), build_net(new)
+        region = sese_region(old, old_net, new_net)
+        want = reference_dynamic_region(old, old_net, region.static_nodes)
+        assert region.dynamic_places == want, (format_tree(old), format_tree(new))
+        grown += want > region.static_nodes & old_net.places
+    # most fragments grow past the static places they cover
+    assert grown > 500
