@@ -76,21 +76,20 @@ def net_dot(net: WfNet) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     old, new = _load(args.old), _load(args.new)
+    try:
+        marking = None if args.marking is None else parse_marking(args.marking)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     report = analyze(old, new)
     payload = report_json(report)
-    if args.marking is not None:
-        try:
-            marking = parse_marking(args.marking)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        unknown = marking - {p for p in report.per_place}
+    if marking is not None:
+        unknown = marking - report.per_place.keys()
         if unknown:
             raise UnknownPlaceError(
                 f"marking references unknown places: {', '.join(sorted(unknown))}"
             )
-        # the old C-tree generates exactly the old net's reachable markings
-        if not generates(build_ctree(old), marking):
+        if not generates(report.old_ctree, marking):
             text = marking_text(marking)
             print(
                 f"error: marking {text} is not reachable in the old net", file=sys.stderr

@@ -27,11 +27,12 @@ separator-free text, and ``build_net`` checks a tree with ``validate_tree``
 and wires it into a :class:`~wfregions.wfnet.WfNet`; neither checks a tree
 that ``parse`` returned or that passed the check before.
 ``branches_of`` is the one place that knows how each kind of block holds its
-sequences; ``walk``, ``seq_at`` and ``edit_seq`` visit, find and rebuild
-sequences by their :data:`SeqPath`.
+sequences.  A valid tree holds each sequence object once, so a sequence is
+addressed by the object itself: ``walk`` visits the sequences in preorder,
+and ``rebuild`` edits them, sharing every subtree it leaves alone.
 Two walkers serve block trees and C-trees alike: a preorder (``walk`` here)
-visits, and ``_drive`` runs a fold, one generator per node; ``format_tree``
-and every fold in ``ctree`` run on it.  Neither recurses.
+visits, and ``_drive`` runs a fold, one generator per node; ``rebuild``,
+``format_tree`` and every fold in ``ctree`` run on it.  Neither recurses.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import weakref
 from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass
 from itertools import islice
+from operator import is_not
 from typing import Any
 
 from .errors import DuplicateLabelError, LexError, ParseError
@@ -96,11 +98,6 @@ BlockTree = SeqBlock
 _PLACE_LIKE = (Place, AndBlock, LoopBlock)
 _TRANS_LIKE = (Transition, XorBlock)
 
-#: Address of a sequence inside a tree: one (element index, branch index)
-#: step per nesting level, where the branch index counts the sequences of
-#: the block as :func:`branches_of` lists them.  The root's path is ``()``.
-SeqPath = tuple[tuple[int, int], ...]
-
 
 def branches_of(el: Element) -> tuple[SeqBlock, ...]:
     """The sequences of a block, in order; places and transitions have none.
@@ -123,24 +120,22 @@ def with_branches(el: Element, seqs: tuple[SeqBlock, ...]) -> Element:
     return type(el)(tuple(seqs))
 
 
-def walk(tree: BlockTree) -> Iterator[tuple[SeqPath, SeqBlock]]:
-    """Every sequence of the tree with its path, in preorder.
+def walk(tree: BlockTree) -> Iterator[SeqBlock]:
+    """Every sequence of the tree, in preorder.
 
     A sequence comes before the sequences nested in it; those follow its
     elements in order, and each block's sequences in :func:`branches_of`
     order.  The walk keeps its own stack, so nesting depth is unbounded.
     """
-    stack: list[tuple[SeqPath, SeqBlock]] = [((), tree)]
+    stack = [tree]
     while stack:
-        path, seq = stack.pop()
-        yield path, seq
+        seq = stack.pop()
+        yield seq
         children = seq.children
         # pushed last to first, so the first nested sequence is popped next
         for i in range(len(children) - 1, -1, -1):
             if not isinstance(children[i], (Place, Transition)):
-                seqs = branches_of(children[i])
-                for b in range(len(seqs) - 1, -1, -1):
-                    stack.append(((*path, (i, b)), seqs[b]))
+                stack += reversed(branches_of(children[i]))
 
 
 def _drive(step: Callable[[Any], Generator], root: Any) -> Any:
@@ -161,34 +156,35 @@ def _drive(step: Callable[[Any], Generator], root: Any) -> Any:
     return result
 
 
-def seq_at(tree: BlockTree, path: SeqPath) -> SeqBlock:
-    """The sequence at ``path``."""
-    seq = tree
-    for i, b in path:
-        seq = branches_of(seq.children[i])[b]
-    return seq
-
-
-def edit_seq(
+def rebuild(
     tree: BlockTree,
-    path: SeqPath,
-    fn: Callable[[tuple[Element, ...]], tuple[Element, ...]],
+    edit: Callable[[SeqBlock, tuple[Element, ...]], tuple[Element, ...]],
 ) -> BlockTree:
-    """The tree with ``fn`` applied to the children of the sequence at ``path``.
+    """The tree with every sequence rebuilt by ``edit``, innermost first.
 
-    Only the sequences on the path are rebuilt; every other subtree is
-    shared with ``tree``.
+    ``edit(seq, children)`` gets the children of ``seq`` with their blocks
+    already rebuilt, which is ``seq.children`` itself where none changed, and
+    returns the sequence's new children.  Returning ``seq.children`` keeps
+    ``seq``, so every untouched subtree is shared with ``tree``.
     """
-    on_path = [tree]
-    for i, b in path:
-        on_path.append(branches_of(on_path[-1].children[i])[b])
-    seq = SeqBlock(fn(on_path.pop().children))
-    for (i, b), parent in zip(reversed(path), reversed(on_path)):
-        block = parent.children[i]
-        seqs = branches_of(block)
-        block = with_branches(block, (*seqs[:b], seq, *seqs[b + 1 :]))
-        seq = SeqBlock((*parent.children[:i], block, *parent.children[i + 1 :]))
-    return seq
+
+    def step(seq: SeqBlock) -> Generator[SeqBlock, SeqBlock, SeqBlock]:
+        children: tuple[Element, ...] | list[Element] = seq.children
+        for i, child in enumerate(seq.children):
+            if isinstance(child, (Place, Transition)):
+                continue
+            seqs = branches_of(child)
+            rebuilt = []
+            for branch in seqs:
+                rebuilt.append((yield branch))
+            if any(map(is_not, rebuilt, seqs)):
+                if children is seq.children:
+                    children = list(children)
+                children[i] = with_branches(child, tuple(rebuilt))
+        out = edit(seq, children if children is seq.children else tuple(children))
+        return seq if out is seq.children else SeqBlock(tuple(out))
+
+    return _drive(step, tree)
 
 
 # ── scanner ─────────────────────────────────────────────────────────────────
@@ -463,7 +459,7 @@ def _describe(el: object) -> str:
 
 def _leaves(tree: BlockTree) -> Iterator[Place | Transition]:
     """Every place and transition, sequence by sequence in :func:`walk` order."""
-    for _, seq in walk(tree):
+    for seq in walk(tree):
         for child in seq.children:
             if isinstance(child, (Place, Transition)):
                 yield child
@@ -561,7 +557,7 @@ def build_net(tree: BlockTree) -> WfNet:
             return [el.label]
         return [_last_label(seq) for seq in _gates(el)]
 
-    for _, seq in walk(tree):
+    for seq in walk(tree):
         for left, right in zip(seq.children, seq.children[1:]):
             for src in exits(left):
                 for dst in entries(right):

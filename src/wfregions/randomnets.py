@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterator
+from operator import is_not
 
 from .ecws import (
     AndBlock,
@@ -27,14 +28,13 @@ from .ecws import (
     ParseError,
     Place,
     SeqBlock,
-    SeqPath,
     Transition,
     XorBlock,
     branches_of,
     build_net,
-    edit_seq,
     iter_labels,
     place_labels,
+    rebuild,
     validate_tree,
     walk,
 )
@@ -134,13 +134,11 @@ def _relabel(tree: BlockTree, mapping: dict[str, str]) -> BlockTree:
             return type(el)(mapping[el.label])
         return el
 
-    def rewrite(children: tuple[Element, ...]) -> tuple[Element, ...]:
-        return tuple(rename(el) for el in children)
+    def rewrite(seq: SeqBlock, children: tuple[Element, ...]) -> tuple[Element, ...]:
+        renamed = tuple(map(rename, children))
+        return renamed if any(map(is_not, renamed, children)) else children
 
-    for path, seq in list(walk(tree)):
-        if any(rename(el) is not el for el in seq.children):
-            tree = edit_seq(tree, path, rewrite)
-    return tree
+    return rebuild(tree, rewrite)
 
 
 def _fresh(used: set[str], prefix: str) -> str:
@@ -152,12 +150,12 @@ def _fresh(used: set[str], prefix: str) -> str:
 
 
 def _splice(
-    tree: BlockTree, path: SeqPath, lo: int, hi: int, replacement: tuple[Element, ...]
+    tree: BlockTree, seq: SeqBlock, lo: int, hi: int, replacement: tuple[Element, ...]
 ) -> BlockTree | None:
-    """The tree with ``children[lo:hi + 1]`` of the sequence at ``path``
-    replaced (``hi = lo - 1`` inserts before ``lo``), or None if
+    """The tree with ``children[lo:hi + 1]`` of its sequence ``seq`` replaced
+    (``hi = lo - 1`` inserts before ``lo``), or None if
     :func:`~wfregions.ecws.validate_tree` rejects the result."""
-    out = edit_seq(tree, path, lambda seq: (*seq[:lo], *replacement, *seq[hi + 1 :]))
+    out = rebuild(tree, lambda at, c: (*c[:lo], *replacement, *c[hi + 1 :]) if at is seq else c)
     try:
         validate_tree(out)
     except ParseError:
@@ -165,19 +163,19 @@ def _splice(
     return out
 
 
-def _place_cuts(tree: BlockTree) -> Iterator[tuple[str, SeqPath, int, int]]:
+def _place_cuts(tree: BlockTree) -> Iterator[tuple[str, SeqBlock, int, int]]:
     """Each way to remove a place together with a neighbouring transition, as
-    ``(label, path, lo, hi)`` for the stretch ``children[lo:hi + 1]``: in
+    ``(label, seq, lo, hi)`` for the stretch ``seq.children[lo:hi + 1]``: in
     walk order, and per place the cut with the transition after it first."""
-    for path, seq in walk(tree):
+    for seq in walk(tree):
         children = seq.children
         for i, child in enumerate(children):
             if not isinstance(child, Place):
                 continue
             if i + 1 < len(children) and isinstance(children[i + 1], Transition):
-                yield child.label, path, i, i + 1
+                yield child.label, seq, i, i + 1
             if i - 1 >= 0 and isinstance(children[i - 1], Transition):
-                yield child.label, path, i - 1, i
+                yield child.label, seq, i - 1, i
 
 
 # ── mutations ───────────────────────────────────────────────────────────────
@@ -185,24 +183,24 @@ def _place_cuts(tree: BlockTree) -> Iterator[tuple[str, SeqPath, int, int]]:
 
 def mutate_insert_place(tree: BlockTree, rng: random.Random) -> BlockTree | None:
     spots = [
-        (path, i)
-        for path, seq in walk(tree)
+        (seq, i)
+        for seq in walk(tree)
         for i, child in enumerate(seq.children)
         if isinstance(child, Place)
     ]
     if not spots:
         return None
-    path, i = rng.choice(spots)
+    seq, i = rng.choice(spots)
     used = set(iter_labels(tree))
     t_new, p_new = _fresh(used, "v"), _fresh(used, "q")
-    return _splice(tree, path, i + 1, i, (Transition(t_new), Place(p_new)))
+    return _splice(tree, seq, i + 1, i, (Transition(t_new), Place(p_new)))
 
 
 def mutate_remove_place(tree: BlockTree, rng: random.Random) -> BlockTree | None:
     cuts = list(_place_cuts(tree))
     rng.shuffle(cuts)
-    for _, path, lo, hi in cuts:
-        out = _splice(tree, path, lo, hi, ())
+    for _, seq, lo, hi in cuts:
+        out = _splice(tree, seq, lo, hi, ())
         if out is not None:
             return out
     return None
@@ -219,7 +217,7 @@ def mutate_transpose_places(tree: BlockTree, rng: random.Random) -> BlockTree | 
 def mutate_branch_tail_swap(tree: BlockTree, rng: random.Random) -> BlockTree | None:
     blocks = [
         child
-        for _, seq in walk(tree)
+        for seq in walk(tree)
         for child in seq.children
         if isinstance(child, AndBlock)
     ]
@@ -244,17 +242,17 @@ def mutate_relabel_transition(tree: BlockTree, rng: random.Random) -> BlockTree 
 def mutate_block_change(tree: BlockTree, rng: random.Random) -> BlockTree | None:
     """Convert one block to a different kind, or flatten it away."""
     spots = [
-        (path, seq.children, i)
-        for path, seq in walk(tree)
+        (seq, i)
+        for seq in walk(tree)
         for i, child in enumerate(seq.children)
         if branches_of(child)
     ]
     rng.shuffle(spots)
-    for path, children, i in spots:
-        edits = _block_edits(tree, children, i, rng)
+    for seq, i in spots:
+        edits = _block_edits(tree, seq.children, i, rng)
         rng.shuffle(edits)
         for lo, hi, replacement in edits:
-            out = _splice(tree, path, lo, hi, replacement)
+            out = _splice(tree, seq, lo, hi, replacement)
             if out is not None:
                 return out
     return None
@@ -397,9 +395,9 @@ def oracle_mismatches(report: AnalysisReport, oracle: OracleReport) -> dict[str,
 
 
 def _try_remove_place(tree: BlockTree, label: str) -> BlockTree | None:
-    for cut_label, path, lo, hi in _place_cuts(tree):
+    for cut_label, seq, lo, hi in _place_cuts(tree):
         if cut_label == label:
-            out = _splice(tree, path, lo, hi, ())
+            out = _splice(tree, seq, lo, hi, ())
             if out is not None:
                 return out
     return None

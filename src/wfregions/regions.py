@@ -13,7 +13,7 @@ per-marking decisions with no false calls in either direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .ctree import CTree, build_ctree, delete_places, gcs
@@ -55,6 +55,8 @@ class AnalysisReport:
     pscr_exists: bool
     pscr: frozenset[str] | None
     per_place: dict[str, MemberClass]
+    # the old net's C-tree, which generates exactly its reachable markings
+    old_ctree: CTree = field(compare=False, repr=False)
 
 
 def change_sets(c: CTree, c2: CTree) -> ChangeSets:
@@ -111,12 +113,12 @@ def pscr_exists(
 ) -> bool:
     """Decide whether the perfect members hit every non-migratable marking:
     trivially with no overestimated places, else exactly when every old
-    marking avoiding them is a new one (inclusion after deleting them).
-    Deletion keeps untouched subtrees as they are, so on trees that share
-    their unchanged regions the check stops at each shared one."""
+    marking avoiding them is a new one: inclusion after deleting them from
+    the old tree.  Deletion keeps untouched subtrees as they are, so on trees
+    that share their unchanged regions the check stops at each shared one."""
     if not over:
         return True
-    return mpe_exists(delete_places(c, perf), delete_places(c2, perf))
+    return mpe_exists(delete_places(c, perf), c2)
 
 
 def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
@@ -144,6 +146,7 @@ def analyze(old: BlockTree, new: BlockTree) -> AnalysisReport:
         pscr_exists=exists,
         pscr=perf if exists else None,
         per_place=per_place,
+        old_ctree=c,
     )
 
 

@@ -24,11 +24,9 @@ from .ecws import (
     Element,
     Place,
     SeqBlock,
-    SeqPath,
     Transition,
     branches_of,
     place_labels,
-    seq_at,
     walk,
 )
 from .wfnet import WfNet
@@ -64,9 +62,8 @@ def dynamic_region(
     adjacency = _static_adjacency(old, static_nodes)
     out: set[str] = set()
     for component in _components(adjacency):
-        seq_path, lo, hi = _expand(old_tree, index, component)
-        seq = seq_at(old_tree, seq_path)
-        out |= place_labels(SeqBlock(tuple(seq.children[lo : hi + 1])))
+        seq, lo, hi = _expand(index, component)
+        out |= place_labels(SeqBlock(seq.children[lo : hi + 1]))
     return frozenset(out)
 
 
@@ -130,14 +127,19 @@ def _block_places(el: Element) -> frozenset[str]:
     return frozenset().union(*map(place_labels, branches_of(el)))
 
 
-def _index_tree(tree: BlockTree) -> dict[str, tuple[SeqPath, int]]:
-    """Label → (address of its sequence, its element index there)."""
-    return {
-        child.label: (path, i)
-        for path, seq in walk(tree)
-        for i, child in enumerate(seq.children)
-        if isinstance(child, (Place, Transition))
-    }
+def _index_tree(tree: BlockTree) -> dict[str | int, tuple[SeqBlock, int]]:
+    """Label → (its sequence, its index there), and the ``id`` of each nested
+    sequence → (the sequence around its block, the block's index there), so
+    the ``id`` links lead from a label up to the root, whose ``id`` is no key."""
+    index: dict[str | int, tuple[SeqBlock, int]] = {}
+    for seq in walk(tree):
+        for i, child in enumerate(seq.children):
+            if isinstance(child, (Place, Transition)):
+                index[child.label] = seq, i
+            else:
+                for nested in branches_of(child):
+                    index[id(nested)] = seq, i
+    return index
 
 
 def _static_adjacency(old: WfNet, static_nodes: frozenset[str]) -> dict[str, set[str]]:
@@ -168,33 +170,29 @@ def _components(adjacency: dict[str, set[str]]) -> list[set[str]]:
 
 
 def _expand(
-    tree: BlockTree, index: dict[str, tuple[SeqPath, int]], component: set[str]
-) -> tuple[SeqPath, int, int]:
+    index: dict[str | int, tuple[SeqBlock, int]], component: set[str]
+) -> tuple[SeqBlock, int, int]:
     """Smallest place-bordered stretch of one sequence covering the group."""
-    paths = [index[label] for label in component]
-    common = paths[0][0]
-    for seq_path, _ in paths[1:]:
-        limit = 0
-        for a, b in zip(common, seq_path):
-            if a != b:
-                break
-            limit += 1
-        common = common[:limit]
-    idxs = {
-        elem_idx if len(seq_path) == len(common) else seq_path[len(common)][0]
-        for seq_path, elem_idx in paths
-    }
+    chains = []  # per label, its (sequence, index) at each level from the root
+    for label in component:
+        chain = [index[label]]
+        while id(chain[-1][0]) in index:
+            chain.append(index[id(chain[-1][0])])
+        chains.append(chain[::-1])
+    # the deepest level at which every chain is in one sequence
+    for level in zip(*chains):
+        if any(s is not level[0][0] for s, _ in level):
+            break
+        seq, idxs = level[0][0], {i for _, i in level}
     while True:
-        seq = seq_at(tree, common)
         lo, hi = min(idxs), max(idxs)
         while lo >= 0 and not isinstance(seq.children[lo], Place):
             lo -= 1
         while hi < len(seq.children) and not isinstance(seq.children[hi], Place):
             hi += 1
-        if lo < 0 or hi >= len(seq.children):
-            # padding ran off a transition-bordered branch: the enclosing
-            # block becomes part of the fragment, so retry one level up
-            idxs = {common[-1][0]}
-            common = common[:-1]
-            continue
-        return common, lo, hi
+        if lo >= 0 and hi < len(seq.children):
+            return seq, lo, hi
+        # padding ran off a transition-bordered branch: the enclosing block
+        # becomes part of the fragment, so retry one level up
+        seq, i = index[id(seq)]
+        idxs = {i}

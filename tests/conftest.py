@@ -20,7 +20,7 @@ from wfregions import (
     random_net_pair,
     random_tree,
 )
-from wfregions.ecws import edit_seq, walk
+from wfregions.ecws import rebuild
 from wfregions.randomnets import mutate_transpose_places
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -62,16 +62,13 @@ def deep_tree(depth: int, core: tuple = (Place("z"),)) -> SeqBlock:
 def prefixed(tree: BlockTree, prefix: str) -> str:
     """The text of ``tree`` with ``prefix`` put before every label."""
 
-    def relabel(children: tuple) -> tuple:
+    def relabel(seq: SeqBlock, children: tuple) -> tuple:
         return tuple(
             type(el)(prefix + el.label) if isinstance(el, (Place, Transition)) else el
             for el in children
         )
 
-    # relabelling keeps every sequence at its path
-    for path, _ in list(walk(tree)):
-        tree = edit_seq(tree, path, relabel)
-    return format_tree(tree)
+    return format_tree(rebuild(tree, relabel))
 
 
 def transposition_pair(seed: int) -> tuple[BlockTree, BlockTree]:

@@ -250,7 +250,7 @@ def _validate(tree: BlockTree, relex: bool) -> None:
     _check_border(tree, Place)
     labels: list[str] = []
     # the walk reaches a sequence only after its parent checked its border
-    for _, seq in walk(tree):
+    for seq in walk(tree):
         _validate_seq(seq)
         labels += (el.label for el in seq.children if isinstance(el, (Place, Transition)))
     seen: set[str] = set()

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import wfregions.cli as cli
-from wfregions import Decision
+import wfregions.regions as regions
+from wfregions import Decision, build_ctree
 from wfregions.cli import main
 
 from conftest import FIXTURES, mutated_texts, nested_and
@@ -113,6 +114,22 @@ def test_analyze_malformed_marking(capsys):
     )
     assert code == 3
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("marking, code, builds", [("u2,PC", 0, 2), ("u2,,PC", 3, 0)])
+def test_analyze_builds_each_ctree_once_after_reading_the_marking(
+    capsys, monkeypatch, marking, code, builds
+):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_ctree(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "build_ctree", counted)
+    monkeypatch.setattr(cli, "build_ctree", counted)
+    got, _, _ = run(capsys, "analyze", fx("claims_old"), fx("claims_new"), "--marking", marking)
+    assert (got, len(calls)) == (code, builds)
 
 
 def test_a_marking_that_does_not_scan_fails_fast():

@@ -30,11 +30,12 @@ from wfregions import (
 import wfregions.ecws as ecws
 from wfregions.ecws import (
     MAX_NESTING,
-    edit_seq,
+    branches_of,
     iter_labels,
-    seq_at,
+    rebuild,
     walk,
 )
+from wfregions.randomnets import _relabel
 
 from conftest import FIXTURES, composed_pair, deep_tree, load_fixture, mutated_texts, nested_and
 from ecws_reference import REFERENCE_LABEL, REFERENCE_TOKEN, reference_parse, reference_tokenize
@@ -469,47 +470,70 @@ def test_label_sets():
 # ── sequence walk ────────────────────────────────────────────────────────────
 
 
-def _reference_walk(seq, path=()):
+def _reference_walk(seq):
     """The order mutation sites have always been drawn in, written out."""
-    yield path, seq
-    for i, child in enumerate(seq.children):
+    yield seq
+    for child in seq.children:
         if isinstance(child, (AndBlock, XorBlock)):
-            for b, branch in enumerate(child.branches):
-                yield from _reference_walk(branch, (*path, (i, b)))
+            for branch in child.branches:
+                yield from _reference_walk(branch)
         elif isinstance(child, LoopBlock):
-            yield from _reference_walk(child.forward, (*path, (i, 0)))
-            yield from _reference_walk(child.back, (*path, (i, 1)))
+            yield from _reference_walk(child.forward)
+            yield from _reference_walk(child.back)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_walk_yields_every_sequence_once_in_preorder(seed):
     tree = random_tree(random.Random(seed), 8, 80)
     walked = list(walk(tree))
-    reference = list(_reference_walk(tree))
-    assert [path for path, _ in walked] == [path for path, _ in reference]
-    assert [id(seq) for _, seq in walked] == [id(seq) for _, seq in reference]
-    assert len({id(seq) for _, seq in walked}) == len(walked)
-    for path, seq in walked:
-        assert seq_at(tree, path) is seq
+    assert [id(seq) for seq in walked] == [id(seq) for seq in _reference_walk(tree)]
+    assert len({id(seq) for seq in walked}) == len(walked)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_edit_seq_rebuilds_only_the_path(seed):
+    """``rebuild`` editing one sequence builds anew only the sequences on
+    the path from the root to it."""
     tree = random_tree(random.Random(seed), 8, 80)
-    for path, _ in walk(tree):
-        edited = edit_seq(tree, path, lambda children: children)
+    assert rebuild(tree, lambda seq, children: children) is tree
+    enclosing = {}  # the id of each sequence -> the sequence around it
+    for seq in walk(tree):
+        for child in seq.children:
+            for nested in branches_of(child):
+                enclosing[id(nested)] = seq
+    for target in walk(tree):
+        # a new tuple of the same children: only the target and the
+        # sequences around it are built anew
+        edited = rebuild(tree, lambda seq, c: tuple(list(c)) if seq is target else c)
         assert edited == tree
-        for other, seq in walk(edited):
-            on_path = other == path[: len(other)]
-            assert (seq is seq_at(tree, other)) != on_path
+        rebuilt, at = set(), target
+        while at is not None:
+            rebuilt.add(id(at))
+            at = enclosing.get(id(at))
+        for old, new in zip(walk(tree), walk(edited), strict=True):
+            assert (new is old) != (id(old) in rebuilt)
 
 
 def test_edit_seq_applies_the_edit():
+    """``rebuild`` applies an edit to the sequence object it names."""
     tree = parse("p1t1(p2t2p3)(p4)t3{p5}{t4}t5p6")
-    edited = edit_seq(tree, ((2, 1),), lambda c: (*c, Transition("u"), Place("q")))
+    branch, back = tree.children[2].branches[1], tree.children[4].back
+
+    def append(target, tail):
+        return lambda seq, c: (*c, *tail) if seq is target else c
+
+    edited = rebuild(tree, append(branch, (Transition("u"), Place("q"))))
     assert format_tree(edited) == "p1t1(p2t2p3)(p4u,q)t3{p5}{t4}t5p6"
-    edited = edit_seq(tree, ((4, 1),), lambda c: (*c, Place("q"), Transition("u")))
+    edited = rebuild(tree, append(back, (Place("q"), Transition("u"))))
     assert format_tree(edited) == "p1t1(p2t2p3)(p4)t3{p5}{t4q,u}t5p6"
+
+
+def test_rebuild_needs_no_recursion():
+    tree = deep_tree(3000)
+    assert rebuild(tree, lambda seq, children: children) is tree
+    mapping = {"z": "y", "a0": "x"}
+    moved = _relabel(tree, mapping)
+    assert list(iter_labels(moved)) == [mapping.get(x, x) for x in iter_labels(tree)]
 
 
 def test_deep_tree_needs_no_recursion():
