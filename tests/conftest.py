@@ -15,8 +15,8 @@ from wfregions import (
     Transition,
     XorBlock,
     format_tree,
-    parse,
     mutate,
+    parse,
     random_net_pair,
     random_tree,
 )

@@ -324,16 +324,12 @@ def test_existence_equals_the_two_sided_deletion(corpus):
     # every old marking without a perfect member avoids them, so deleting
     # them from the new tree as well changes no answer
     outcomes = Counter()
-    pairs = [*corpus, *map(transposition_pair, range(800))]
-    for old, new in pairs:
-        c = build_ctree(old)
-        c2 = build_ctree(new, like=c)
-        cs = change_sets(c, c2)
-        over = cs.cr_wrc - cs.cr_src
-        perf = cs.cr_r | cs.cr_lc | cs.cr_ac | cs.cr_src
-        if over:
-            want = mpe_exists(delete_places(c, perf), delete_places(c2, perf))
-            assert pscr_exists(c, c2, over, perf) is want, (format_tree(old), format_tree(new))
+    for old, new in [*corpus, *map(transposition_pair, range(800))]:
+        report = analyze(old, new)
+        if report.over:
+            c, perf = report.old_ctree, report.perf
+            want = mpe_exists(delete_places(c, perf), delete_places(build_ctree(new), perf))
+            assert report.pscr_exists is want, (format_tree(old), format_tree(new))
             outcomes[want] += 1
     assert outcomes[True] and outcomes[False], outcomes
 
