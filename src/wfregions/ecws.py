@@ -32,7 +32,8 @@ addressed by the object itself: ``walk`` visits the sequences in preorder,
 and ``rebuild`` edits them, sharing every subtree it leaves alone.
 Two walkers serve block trees and C-trees alike: a preorder (``walk`` here)
 visits, and ``_drive`` runs a fold, one generator per node; ``rebuild``,
-``format_tree`` and every fold in ``ctree`` run on it.  Neither recurses.
+``format_tree``, every fold in ``ctree``, and the ``==``, ``hash`` and
+``repr`` of the sequence and block types run on it.  Neither recurses.
 """
 
 from __future__ import annotations
@@ -61,29 +62,113 @@ class Transition:
     label: str
 
 
-@dataclass(frozen=True)
-class SeqBlock:
+class _Nested:
+    """``==``, ``hash`` and ``repr`` of the sequence and block types, with
+    the dataclass results (same type and equal fields; the hash of the field
+    tuple; the field text), run on ``_drive`` so that no nesting depth
+    exhausts the call stack."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+
+        def step(pair: tuple) -> Generator[tuple, bool, bool]:
+            x, y = pair
+            for name in x.__dataclass_fields__:
+                u, v = getattr(x, name), getattr(y, name)
+                if u is v:
+                    continue
+                many = type(u) is tuple and type(v) is tuple
+                if many and len(u) != len(v):
+                    return False
+                for a, b in zip(u, v) if many else ((u, v),):  # stops at the first difference
+                    if a is b:
+                        continue
+                    if isinstance(a, _Nested) and type(a) is type(b):
+                        if not (yield a, b):
+                            return False
+                    elif not a == b:
+                        return False
+            return True
+
+        return _drive(step, (self, other))
+
+    def __hash__(self) -> int:
+        def step(node: _Nested) -> Generator[_Nested, int, int]:
+            values = []
+            for name in node.__dataclass_fields__:
+                value = getattr(node, name)
+                many = type(value) is tuple
+                items = []
+                for el in value if many else (value,):
+                    items.append(_Hashed((yield el)) if isinstance(el, _Nested) else el)
+                values.append(tuple(items) if many else items[0])
+            return hash(tuple(values))
+
+        return _drive(step, self)
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+
+        def step(node: _Nested) -> Generator[_Nested, None, None]:
+            out.append(f"{type(node).__qualname__}(")
+            for k, name in enumerate(node.__dataclass_fields__):
+                value = getattr(node, name)
+                many = type(value) is tuple
+                out.append(f"{', ' if k else ''}{name}={'(' if many else ''}")
+                for j, el in enumerate(value if many else (value,)):
+                    if j:
+                        out.append(", ")
+                    if isinstance(el, _Nested):
+                        yield el
+                    else:
+                        out.append(repr(el))
+                if many:
+                    out.append(",)" if len(value) == 1 else ")")
+            out.append(")")
+
+        _drive(step, self)
+        return "".join(out)
+
+
+class _Hashed:
+    """A stand-in whose hash is a given value, so that a tuple holding it
+    hashes as the tuple of the node it stands for."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SeqBlock(_Nested):
     """An alternating run of place-like and transition-like elements."""
 
     children: tuple["Element", ...]
 
 
-@dataclass(frozen=True)
-class AndBlock:
+@dataclass(frozen=True, eq=False, repr=False)
+class AndBlock(_Nested):
     """Parallel branches, each place-bordered, between a fork and a join."""
 
     branches: tuple[SeqBlock, ...]
 
 
-@dataclass(frozen=True)
-class XorBlock:
+@dataclass(frozen=True, eq=False, repr=False)
+class XorBlock(_Nested):
     """Alternative branches, each transition-bordered, between two places."""
 
     branches: tuple[SeqBlock, ...]
 
 
-@dataclass(frozen=True)
-class LoopBlock:
+@dataclass(frozen=True, eq=False, repr=False)
+class LoopBlock(_Nested):
     """A place-bordered forward part plus a transition-bordered back part."""
 
     forward: SeqBlock

@@ -8,12 +8,17 @@ new net.
 
 Reachability, the soundness check and the oracle share one breadth-first
 explorer.  It holds a state as an int with one bit per place (places are
-numbered in sorted label order) and, at each state, tests only the
-transitions that a marked place feeds, in transition-name order.
-``oracle_classify`` explores each net once, on one place numbering shared by
-both nets, so comparing states is comparing ints; markings become
-``frozenset`` objects only for its report.  Nothing here reads C-trees: the
-oracle stays independent of the structural analysis it checks.
+numbered in sorted label order) and its enabled transitions as an int with
+one bit per transition (numbered in name order).  A new state inherits the
+enabled set of the state that found it, less the transitions reading a place
+the firing changed, plus those of them the new marking enables; it fires
+them lowest bit first, in transition-name order, and records each firing
+once, as a predecessor of its target.  Soundness is read from those masks
+and predecessor lists.  ``oracle_classify`` explores each net once, on one
+place numbering shared by both nets, so comparing states is comparing ints;
+markings become ``frozenset`` objects only for its report.  Nothing here
+reads C-trees: the oracle stays independent of the structural analysis it
+checks.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from .errors import (
 Marking = frozenset[str]
 
 #: Default bound on the number of distinct markings explored per net.  The
-#: oracle peaks at about 480 bytes per reachable state (tracemalloc: 477 B on
-#: the benchmark's oracle_corpus probe pairs and on a composed pair of 56k
-#: states per net), so the default of 1M states per net lets one pair hold
-#: about 1 GB (one net about 0.5 GB) before the cap trips.
+#: oracle peaks at about 480 bytes per reachable state (tracemalloc: 392 B on
+#: the benchmark's oracle_corpus probe pairs of seed 11, 485 B on a composed
+#: pair of 42k states per net), so the default of 1M states per net lets one
+#: pair hold about 1 GB (one net about 0.5 GB) before the cap trips.
 DEFAULT_STATE_CAP = 1_000_000
 
 
@@ -136,16 +141,18 @@ class _StateSpace:
     """The reachable states of one net, numbered in breadth-first order.
 
     ``states[i]`` is the bitmask of state ``i`` (state 0 is the initial
-    marking) and ``number`` maps a bitmask back to its state.  ``edges[i]``
-    lists the firings at state ``i`` flat, as ``rank, target, rank, target,
-    ...`` in transition-name order: a rank indexes ``transitions`` and a
-    target is a state number.
+    marking) and ``number`` maps a bitmask back to its state.
+    ``enabled[i]`` has bit ``r`` set when ``transitions[r]`` is enabled at
+    state ``i``; every enabled transition fired, so these are the firings.
+    ``preds[j]`` lists the state of each firing that leads to state ``j``,
+    once per firing.
     """
 
     transitions: tuple[str, ...]
     states: list[int]
     number: dict[int, int]
-    edges: list[list[int]]
+    enabled: list[int]
+    preds: list[list[int]]
 
 
 def _explore(net: WfNet, index: _PlaceIndex, cap: int) -> _StateSpace:
@@ -157,50 +164,53 @@ def _explore(net: WfNet, index: _PlaceIndex, cap: int) -> _StateSpace:
     net).
     """
     names = tuple(sorted(net.transitions))
-    # Each transition as (rank, input mask, output mask), filed under one of
-    # its input places (the highest numbered), since it can fire only where
-    # that place is marked; one without input places is a candidate at every
-    # state.
-    fed_by: list[list[tuple[int, int, int]]] = [[] for _ in index.labels]
-    always: list[tuple[int, int, int]] = []
-    for rank, t in enumerate(names):
-        need = index.mask(net.pre[t])
-        move = (rank, need, index.mask(net.post[t]))
-        if need:
-            fed_by[need.bit_length() - 1].append(move)
-        else:
-            always.append(move)
+    need = [index.mask(net.pre[t]) for t in names]
+    out = [index.mask(net.post[t]) for t in names]
+    # A state inherits the enabled set of the state that found it: firing t
+    # changes only the places of pre(t) and post(t), so keep[r] clears each
+    # transition reading one of them, and wake[r] tests again those that
+    # read a place of post(t), the only ones the firing can enable.
+    readers: dict[str, list[int]] = {}
+    for r, t in enumerate(names):
+        for p in net.pre[t]:
+            readers.setdefault(p, []).append(r)
+    keep, wake = [], []
+    for t in names:
+        woken = {s for p in net.post[t] for s in readers.get(p, ())}
+        keep.append(~sum(1 << s for s in woken.union(*map(readers.get, net.pre[t]))))
+        wake.append([(1 << s, need[s]) for s in woken])
 
     start = index.bit[net.init]
-    states, number, edges = [start], {start: 0}, []
-    for marking in states:  # the loop also visits the states it appends: FIFO
-        candidates = list(always)
-        tokens = marking
-        while tokens:
-            top = tokens.bit_length() - 1
-            candidates += fed_by[top]
-            tokens ^= 1 << top
-        candidates.sort()
-        row: list[int] = []
-        for rank, need, out in candidates:
-            if marking & need != need:
-                continue
-            rest = marking ^ need
-            if rest & out:
+    first = sum(1 << r for r, n in enumerate(need) if start & n == n)
+    states, number, enabled, preds = [start], {start: 0}, [first], [[]]
+    for i, marking in enumerate(states):  # also visits the states it appends
+        mask = here = enabled[i]
+        while mask:  # lowest rank first: transition-name order
+            low = mask & -mask
+            mask ^= low
+            r = low.bit_length() - 1
+            rest = marking ^ need[r]
+            if rest & out[r]:
                 raise SoundnessError(
-                    f"firing {names[rank]!r} at {{{marking_text(index.decode(marking))}}}"
+                    f"firing {names[r]!r} at {{{marking_text(index.decode(marking))}}}"
                     " duplicates a token"
                 )
-            nxt = rest | out
+            nxt = rest | out[r]
             target = number.get(nxt)
             if target is None:
                 if len(states) >= cap:
                     raise StateExplosionError(f"more than {cap} markings reachable")
-                target = number[nxt] = len(states)
+                number[nxt] = len(states)
                 states.append(nxt)
-            row += (rank, target)
-        edges.append(row)
-    return _StateSpace(names, states, number, edges)
+                bits = here & keep[r]
+                for bit, n in wake[r]:
+                    if nxt & n == n:
+                        bits |= bit
+                enabled.append(bits)
+                preds.append([i])
+            else:
+                preds[target].append(i)
+    return _StateSpace(names, states, number, enabled, preds)
 
 
 def _check_sound(net: WfNet, index: _PlaceIndex, space: _StateSpace) -> None:
@@ -209,22 +219,18 @@ def _check_sound(net: WfNet, index: _PlaceIndex, space: _StateSpace) -> None:
     if final is None:
         raise SoundnessError("final marking is not reachable")
 
-    fired: set[int] = set()
-    for row in space.edges:
-        fired.update(row[::2])
-    dead = net.transitions - {space.transitions[rank] for rank in fired}
+    fired = 0
+    for bits in space.enabled:
+        fired |= bits
+    dead = [t for r, t in enumerate(space.transitions) if not fired >> r & 1]
     if dead:
-        raise SoundnessError(f"dead transitions: {', '.join(sorted(dead))}")
+        raise SoundnessError(f"dead transitions: {', '.join(dead)}")
 
-    predecessors: list[list[int]] = [[] for _ in space.states]
-    for i, row in enumerate(space.edges):
-        for target in row[1::2]:
-            predecessors[target].append(i)
     can_finish = bytearray(len(space.states))
     can_finish[final] = 1
     queue = [final]
     for state in queue:  # grows while it is walked, as in _explore
-        for prev in predecessors[state]:
+        for prev in space.preds[state]:
             if not can_finish[prev]:
                 can_finish[prev] = 1
                 queue.append(prev)
@@ -252,15 +258,13 @@ def reachability_graph(
     """
     index = _PlaceIndex(net)
     space = _explore(net, index, cap)
-    markings = [index.decode(mask) for mask in space.states]
-    names = space.transitions
-    return {
-        markings[i]: tuple(
-            (names[rank], markings[target])
-            for rank, target in zip(row[::2], row[1::2])
-        )
-        for i, row in enumerate(space.edges)
-    }
+    pre, post = net.pre, net.post
+    graph = {}
+    for mask, bits in zip(space.states, space.enabled):
+        marking = index.decode(mask)
+        fired = [t for r, t in enumerate(space.transitions) if bits >> r & 1]
+        graph[marking] = tuple((t, (marking - pre[t]) | post[t]) for t in fired)
+    return graph
 
 
 def reachable_markings(net: WfNet, cap: int = DEFAULT_STATE_CAP) -> frozenset[Marking]:
@@ -279,13 +283,15 @@ def check_soundness(net: WfNet, cap: int = DEFAULT_STATE_CAP) -> None:
     _check_sound(net, index, _explore(net, index, cap))
 
 
-def _sound_states(net: WfNet, index: _PlaceIndex, cap: int) -> list[int]:
-    """The states of a net checked sound.  Only the states outlive the call,
-    so the successor and predecessor lists are freed before the caller
-    decodes any marking."""
+def _sound_states(
+    net: WfNet, index: _PlaceIndex, cap: int
+) -> tuple[list[int], dict[int, int]]:
+    """The states of a net checked sound, and their numbers.  Only these
+    outlive the call, so the enabled masks and predecessor lists are freed
+    before the caller decodes any marking."""
     space = _explore(net, index, cap)
     _check_sound(net, index, space)
-    return space.states
+    return space.states, space.number
 
 
 class MemberClass(Enum):
@@ -323,16 +329,19 @@ def oracle_classify(
     sorted label order.
     """
     index = _PlaceIndex(old, new)
-    old_states = _sound_states(old, index, cap)
-    new_states = set(_sound_states(new, index, cap))
+    old_states = _sound_states(old, index, cap)[0]
+    # the new net's states; the loop takes out those the old net reaches too
+    new_only = _sound_states(new, index, cap)[1]
+    good_states: list[int] = []
     bad_states: list[int] = []
     bad = good = 0
     for mask in old_states:
-        if mask in new_states:
-            good |= mask
-        else:
+        if new_only.pop(mask, None) is None:
             bad |= mask
             bad_states.append(mask)
+        else:
+            good |= mask
+            good_states.append(mask)
     per_place: dict[str, MemberClass] = {}
     perfect = 0
     for place in sorted(old.places):
@@ -346,13 +355,11 @@ def oracle_classify(
             perfect |= bit
     pscr_exists = all(mask & perfect for mask in bad_states)
 
-    decoded = {mask: index.decode(mask) for mask in new_states.union(old_states)}
-    reachable_old = frozenset(decoded[mask] for mask in old_states)
-    non_migratable = frozenset(decoded[mask] for mask in bad_states)
-    reachable_new = frozenset(decoded[mask] for mask in new_states)
+    migratable = frozenset(map(index.decode, good_states))
+    non_migratable = frozenset(map(index.decode, bad_states))
     return OracleReport(
-        reachable_old=reachable_old,
-        reachable_new=reachable_new,
+        reachable_old=migratable | non_migratable,
+        reachable_new=migratable.union(map(index.decode, new_only)),
         non_migratable=non_migratable,
         per_place=per_place,
         semantic_scr=index.decode(bad),

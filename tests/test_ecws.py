@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -547,6 +548,54 @@ def test_deep_tree_needs_no_recursion():
     assert net.places == places
     assert len(list(iter_labels(tree))) == len(places) + len(net.transitions)
     assert (net.init, net.end) == ("a0", "f0")
+
+
+#: The block types as frozen dataclasses with the same names and fields: the
+#: generated ``==``, ``hash`` and ``repr`` that the block types replace.
+_MIRRORS = {
+    cls: dataclasses.make_dataclass(
+        cls.__qualname__, [field.name for field in dataclasses.fields(cls)], frozen=True
+    )
+    for cls in (SeqBlock, AndBlock, XorBlock, LoopBlock)
+}
+
+
+def _mirror(x):
+    """``x`` rebuilt from the :data:`_MIRRORS` classes (it recurses)."""
+    if type(x) is tuple:
+        return tuple(map(_mirror, x))
+    cls = _MIRRORS.get(type(x))
+    if cls is None:
+        return x
+    return cls(*(_mirror(getattr(x, field.name)) for field in dataclasses.fields(x)))
+
+
+def test_block_types_compare_hash_and_print_as_dataclasses():
+    rng = random.Random(20261019)
+    trees = [load_fixture(path.stem) for path in sorted(FIXTURES.glob("*.ecws"))]
+    trees += [random_tree(rng, 6, 20) for _ in range(200)]
+    trees.append(deep_tree(40))
+    for tree in trees:
+        assert (hash(tree), repr(tree)) == (hash(_mirror(tree)), repr(_mirror(tree)))
+        copy = parse(format_tree(tree))  # equal, and shares no node
+        assert copy == tree and not copy != tree and hash(copy) == hash(tree)
+        for other in (mutate(tree, rng), rng.choice(trees)):
+            assert (tree == other) == (_mirror(tree) == _mirror(other))
+    # a different type at the top or further down is unequal
+    tree = parse("p1t1(p2)(p3)t2p4")
+    assert tree.__eq__(tree.children) is NotImplemented and tree != tree.children
+    swapped = parse("p1[t1p2t3][t4]p4")
+    assert tree != swapped and _mirror(tree) != _mirror(swapped)
+    assert AndBlock(tree.children[2].branches) != XorBlock(tree.children[2].branches)
+
+
+def test_deep_trees_compare_hash_and_print_without_recursion():
+    tree, same = deep_tree(3000), deep_tree(3000)
+    assert tree == same and hash(tree) == hash(same)
+    assert tree != deep_tree(3000, core=(Place("y"),))
+    text = repr(tree)
+    assert text.startswith("SeqBlock(children=(Place(label='a0'), Transition(label='b0'), ")
+    assert text.count("SeqBlock(") == sum(1 for _ in walk(tree))
 
 
 # ── net construction ─────────────────────────────────────────────────────────

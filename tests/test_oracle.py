@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import ast
 import random
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -202,3 +204,71 @@ def test_oracle_reads_no_ctree():
     }
     assert not {m for m in imported if "ctree" in m or "regions" in m}
 
+
+
+# ── the explorer's invariants ────────────────────────────────────────────────
+
+
+def assert_explorer_invariants(net: WfNet) -> None:
+    """Each state's enabled mask is the set of transitions whose input
+    places it marks, and the predecessor lists, as a multiset, invert the
+    firing relation of ``wfnet.fire``."""
+    index = wfnet._PlaceIndex(net)
+    space = wfnet._explore(net, index, wfnet.DEFAULT_STATE_CAP)
+    names = space.transitions
+    assert names == tuple(sorted(net.transitions))
+    assert space.number == {mask: i for i, mask in enumerate(space.states)}
+    assert len(space.enabled) == len(space.preds) == len(space.states)
+    firings = Counter()
+    for i, (mask, bits) in enumerate(zip(space.states, space.enabled)):
+        marking = index.decode(mask)
+        enabled = [r for r, t in enumerate(names) if net.pre[t] <= marking]
+        assert bits == sum(1 << r for r in enabled)
+        for r in enabled:
+            firings[i, space.number[index.mask(wfnet.fire(net, marking, names[r]))]] += 1
+    assert Counter((i, j) for j, preds in enumerate(space.preds) for i in preds) == firings
+
+
+def test_explorer_invariants_on_random_and_fixture_nets():
+    for names in FIXTURE_PAIRS:
+        for tree in fixture_pair(*names):
+            assert_explorer_invariants(build_net(tree))
+    for seed in range(300):
+        for tree in random_net_pair(random.Random(seed)):
+            assert_explorer_invariants(build_net(tree))
+
+
+@pytest.mark.parametrize("seed", [3, 11, 19])
+def test_explorer_invariants_on_composed_nets(seed):
+    for tree in composed_pair(seed):
+        assert_explorer_invariants(build_net(tree))
+
+
+def test_explorer_invariants_on_explorable_broken_nets():
+    explorable = []
+    for name, broken in BROKEN_NETS.items():
+        try:
+            wfnet._explore(broken, wfnet._PlaceIndex(broken), wfnet.DEFAULT_STATE_CAP)
+        except SoundnessError:
+            continue
+        assert_explorer_invariants(broken)
+        explorable.append(name)
+    assert explorable == [
+        "dead end", "unreachable transition", "isolated transition",
+        "stuck marking", "final marking unreachable",
+    ]
+
+
+def test_oracle_memory_per_state():
+    """README and ``DEFAULT_STATE_CAP`` quote about 480 bytes per reachable
+    marking: the tracemalloc peak of one classification, per state of both
+    nets."""
+    old, new = map(build_net, composed_pair(3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = oracle_classify(old, new)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (len(report.reachable_old) + len(report.reachable_new)) < 600
