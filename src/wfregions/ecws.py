@@ -52,12 +52,12 @@ from .wfnet import Marking, WfNet
 # ── block tree ──────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Place:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     label: str
 
@@ -66,9 +66,16 @@ class _Nested:
     """``==``, ``hash`` and ``repr`` of the sequence and block types, with
     the dataclass results (same type and equal fields; the hash of the field
     tuple; the field text), run on ``_drive`` so that no nesting depth
-    exhausts the call stack."""
+    exhausts the call stack.
 
-    __slots__ = ()
+    The block-tree types are slotted, so no instance carries a ``__dict__``
+    (a leaf object takes 40 bytes, against 72-152 with one).
+    This base holds the one ``__weakref__`` slot of the sequence and block
+    types, because :data:`_valid` keeps trees by weak reference
+    (``weakref_slot`` of ``dataclass`` needs Python 3.11).  ``Place`` and
+    ``Transition`` do not derive from it and take no weak reference."""
+
+    __slots__ = ("__weakref__",)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -146,28 +153,28 @@ class _Hashed:
         return self.value
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class SeqBlock(_Nested):
     """An alternating run of place-like and transition-like elements."""
 
     children: tuple["Element", ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class AndBlock(_Nested):
     """Parallel branches, each place-bordered, between a fork and a join."""
 
     branches: tuple[SeqBlock, ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class XorBlock(_Nested):
     """Alternative branches, each transition-bordered, between two places."""
 
     branches: tuple[SeqBlock, ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class LoopBlock(_Nested):
     """A place-bordered forward part plus a transition-bordered back part."""
 

@@ -73,16 +73,23 @@ def improved_region(old_tree: BlockTree, dynamic_places: frozenset[str]) -> froz
     Fragments are recovered from the covered elements of the tree: maximal
     covered stretches of each sequence, trimmed at both ends to genuine
     places (blocks trimmed off an end are scanned on their own, as are
-    blocks that are not fully covered).
+    blocks that are not fully covered).  A block is covered when every place
+    below it is in the region, which one fold decides for every sequence,
+    innermost first, so each sequence is read a bounded number of times.
     """
     removed: set[str] = set()
+    whole: dict[int, bool] = {}  # by the id of each sequence: covered throughout
 
     def covered(el: Element) -> bool:
         if isinstance(el, Place):
             return el.label in dynamic_places
         if isinstance(el, Transition):
             return True
-        return _block_places(el) <= dynamic_places
+        return all(whole[id(seq)] for seq in branches_of(el))
+
+    # reversed preorder reaches every nested sequence before its enclosing one
+    for seq in reversed(list(walk(old_tree))):
+        whole[id(seq)] = all(map(covered, seq.children))
 
     todo: list[SeqBlock] = [old_tree]  # a worklist: any order removes the same places
     while todo:
@@ -121,10 +128,6 @@ def sese_region(old_tree: BlockTree, old: WfNet, new: WfNet) -> SeseRegion:
 
 
 # ── fragment expansion machinery ────────────────────────────────────────────
-
-
-def _block_places(el: Element) -> frozenset[str]:
-    return frozenset().union(*map(place_labels, branches_of(el)))
 
 
 def _index_tree(tree: BlockTree) -> dict[str | int, tuple[SeqBlock, int]]:

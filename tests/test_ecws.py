@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import hashlib
+import pickle
 import random
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -596,6 +601,72 @@ def test_deep_trees_compare_hash_and_print_without_recursion():
     text = repr(tree)
     assert text.startswith("SeqBlock(children=(Place(label='a0'), Transition(label='b0'), ")
     assert text.count("SeqBlock(") == sum(1 for _ in walk(tree))
+
+
+#: The six block-tree types, each with its dataclass fields (name and
+#: annotation) as the package has always declared them.
+_FIELDS = {
+    Place: [("label", "str")],
+    Transition: [("label", "str")],
+    SeqBlock: [("children", "tuple['Element', ...]")],
+    AndBlock: [("branches", "tuple[SeqBlock, ...]")],
+    XorBlock: [("branches", "tuple[SeqBlock, ...]")],
+    LoopBlock: [("forward", "SeqBlock"), ("back", "SeqBlock")],
+}
+
+
+def _elements(tree):
+    """Every sequence, block, place and transition of ``tree``."""
+    for seq in walk(tree):
+        yield seq
+        yield from seq.children
+
+
+def test_a_parsed_tree_keeps_under_120_bytes_per_element():
+    # README quotes 97-102 bytes per element of these parsed texts (the
+    # objects, their tuples and the label strings) on Python 3.10-3.13; with
+    # an instance dict on every element they read 134-211
+    texts = [format_tree(tree) for seed in range(3) for tree in composed_pair(seed)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trees = [parse(text) for text in texts]
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    elements = [el for tree in trees for el in _elements(tree)]
+    assert {type(el) for el in elements} == set(_FIELDS)
+    assert not any(hasattr(el, "__dict__") for el in elements)
+    assert live / len(elements) < 120
+
+
+def test_block_trees_pickle_and_copy_to_equal_trees():
+    # deep chains are left out: pickle and deepcopy recurse per level
+    rng = random.Random(20261019)
+    trees = [load_fixture(path.stem) for path in sorted(FIXTURES.glob("*.ecws"))]
+    trees += [random_tree(rng, 6, 20) for _ in range(100)]
+    for tree in trees:
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(tree, protocol)) == tree
+        assert copy.copy(tree) == tree
+        assert copy.deepcopy(tree) == tree
+
+
+def test_block_tree_types_keep_their_fields_freeze_and_take_weak_references():
+    tree = parse("p1t1(p2)(p3)t2p4[t3p5t4][t5]p6t6{p7}{t7}t8p8")
+    assert {cls: [(f.name, f.type) for f in dataclasses.fields(cls)] for cls in _FIELDS} == _FIELDS
+    elements = list(_elements(tree))
+    assert {type(el) for el in elements} == set(_FIELDS)
+    for el in elements:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(el, dataclasses.fields(el)[0].name, None)
+        if isinstance(el, (Place, Transition)):
+            # slotted leaves hold no weak-reference slot
+            with pytest.raises(TypeError):
+                weakref.ref(el)
+        else:
+            assert weakref.ref(el)() is el
 
 
 # ── net construction ─────────────────────────────────────────────────────────

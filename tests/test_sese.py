@@ -6,16 +6,22 @@ from __future__ import annotations
 import random
 
 from wfregions import (
+    Place,
+    Transition,
     build_net,
     dynamic_region,
     format_tree,
     improved_region,
+    place_labels,
     random_net_pair,
     sese_region,
     static_region,
 )
 
-from conftest import FIXTURES, fixture_pair, load_fixture
+import wfregions.ecws as ecws
+import wfregions.sese as sese
+from wfregions.ecws import branches_of
+from conftest import FIXTURES, deep_tree, fixture_pair, load_fixture
 from sese_reference import reference_dynamic_region
 
 
@@ -104,3 +110,87 @@ def test_dynamic_region_equals_the_path_reference(corpus):
         grown += want > region.static_nodes & old_net.places
     # most fragments grow past the static places they cover
     assert grown > 500
+
+
+# ── the improved region decides coverage in one fold ─────────────────────────
+
+
+def _scanned_improved_region(old_tree, dynamic_places):
+    """The improved region as it was computed before the coverage fold: the
+    place set of each block it meets is read by a walk of its own."""
+    removed = set()
+
+    def covered(el):
+        if isinstance(el, Place):
+            return el.label in dynamic_places
+        if isinstance(el, Transition):
+            return True
+        return frozenset().union(*map(place_labels, branches_of(el))) <= dynamic_places
+
+    todo = [old_tree]
+    while todo:
+        seq = todo.pop()
+        runs = []
+        start = None
+        for i, child in enumerate(seq.children):
+            if covered(child):
+                if start is None:
+                    start = i
+            else:
+                if start is not None:
+                    runs.append((start, i - 1))
+                    start = None
+                todo.extend(branches_of(child))
+        if start is not None:
+            runs.append((start, len(seq.children) - 1))
+        for lo, hi in runs:
+            while lo <= hi and not isinstance(seq.children[lo], Place):
+                todo.extend(branches_of(seq.children[lo]))
+                lo += 1
+            while hi >= lo and not isinstance(seq.children[hi], Place):
+                todo.extend(branches_of(seq.children[hi]))
+                hi -= 1
+            if lo <= hi:
+                removed.add(seq.children[lo].label)
+                removed.add(seq.children[hi].label)
+    return dynamic_places - removed
+
+
+def test_improved_region_equals_the_scanned_reference(corpus):
+    # on each pair's dynamic region, and on a seeded draw of the old places,
+    # which covers blocks in more ways than a dynamic region does
+    rng = random.Random(20261019)
+    trees = [deep_tree(30), deep_tree(31, core=(Place("y"),))]
+    for old, new in _sese_pairs(corpus):
+        region = sese_region(old, build_net(old), build_net(new))
+        assert region.improved_places == _scanned_improved_region(old, region.dynamic_places)
+        trees.append(old)
+    for tree in trees:
+        places = sorted(place_labels(tree))
+        for share in (0.5, 0.9, 1.0):
+            drawn = frozenset(p for p in places if rng.random() < share)
+            assert improved_region(tree, drawn) == _scanned_improved_region(tree, drawn)
+
+
+def test_improved_region_reads_each_block_a_bounded_number_of_times(monkeypatch):
+    # every sequence below a block is reached through branches_of, so its
+    # calls count the work; a walk per covered block made them quadratic in
+    # the depth of a chain (46,944 at 300 levels)
+    calls = 0
+
+    def counted(el):
+        nonlocal calls
+        calls += 1
+        return branches_of(el)
+
+    for depth in (300, 600):
+        old, new = deep_tree(depth), deep_tree(depth, core=(Place("y"),))
+        old_net, new_net = build_net(old), build_net(new)
+        dynamic = dynamic_region(old, old_net, static_region(old_net, new_net))
+        calls = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(ecws, "branches_of", counted)
+            patch.setattr(sese, "branches_of", counted)
+            improved = improved_region(old, dynamic)
+        assert improved == {"z"} and dynamic == {f"a{depth - 1}", "z", f"f{depth - 1}"}
+        assert calls <= 10 * depth  # one block per level
