@@ -28,7 +28,9 @@ own tree.
 No function here recurses.  Every walk (building, seeding the intern
 table, place sets, sampling, deletion, rendering) is a generator fold run by
 ``ecws._drive``, and a place is found by following ``CNode.branch_of`` down
-from the root (:func:`locate`).
+from the root (:func:`locate`).  ``CNode`` and ``CBlock`` compare, hash and
+print through ``ecws._Nested`` on that driver, with the dataclass results,
+which read ``elements`` and ``branches`` only.
 
 The new net's tree can be built like the old one's, through an intern table
 (:func:`build_ctree`), so the two share every subtree they have in common,
@@ -45,15 +47,15 @@ from collections.abc import Generator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .ecws import AndBlock, BlockTree, Place, SeqBlock, Transition, _drive, branches_of
+from .ecws import AndBlock, BlockTree, Place, SeqBlock, Transition, _drive, _Nested, branches_of
 from .errors import UnknownPlaceError
 from .wfnet import Marking
 
 # ── tree types ──────────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class CNode:
+@dataclass(frozen=True, eq=False, repr=False)
+class CNode(_Nested):
     """Mutually exclusive alternatives: place labels and parallel blocks.
 
     Construction keeps the normal form: it drops each block with a branch that
@@ -123,8 +125,8 @@ class CNode:
         return index
 
 
-@dataclass(frozen=True)
-class CBlock:
+@dataclass(frozen=True, eq=False, repr=False)
+class CBlock(_Nested):
     """A parallel block: one branch node per concurrent branch.
 
     Construction keeps the normal form: a branch that holds nothing but one

@@ -20,9 +20,9 @@ three labels.
 tokens, building the tree and checking its shape as it goes, so a valid text
 is walked once.  It works out a line and column only when it raises: a shape
 error makes it read the text once more, noting where each element starts,
-and the shape check of ``validate_tree`` then names the fault.  Only
-``validate_tree`` checks that each label scans as one, since a parsed label
-does so by construction.  ``format_tree`` prints the canonical
+and the shape check of ``validate_tree`` then names the fault.  The reader
+does not check that each label scans as one, since a parsed label does so
+by construction.  ``format_tree`` prints the canonical
 separator-free text, and ``build_net`` checks a tree with ``validate_tree``
 and wires it into a :class:`~wfregions.wfnet.WfNet`; neither checks a tree
 that ``parse`` returned or that passed the check before.
@@ -33,7 +33,8 @@ and ``rebuild`` edits them, sharing every subtree it leaves alone.
 Two walkers serve block trees and C-trees alike: a preorder (``walk`` here)
 visits, and ``_drive`` runs a fold, one generator per node; ``rebuild``,
 ``format_tree``, every fold in ``ctree``, and the ``==``, ``hash`` and
-``repr`` of the sequence and block types run on it.  Neither recurses.
+``repr`` of the sequence, block and C-tree types run on it.  Neither
+recurses.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from __future__ import annotations
 import re
 import weakref
 from collections.abc import Callable, Generator, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 from itertools import islice
 from operator import is_not
 from typing import Any
@@ -63,17 +65,23 @@ class Transition:
 
 
 class _Nested:
-    """``==``, ``hash`` and ``repr`` of the sequence and block types, with
-    the dataclass results (same type and equal fields; the hash of the field
-    tuple; the field text), run on ``_drive`` so that no nesting depth
-    exhausts the call stack.
+    """``==``, ``hash`` and ``repr`` of the nested tree types: the sequence
+    and block types here, and ``CNode`` and ``CBlock`` of :mod:`.ctree`.
+    Each gives the dataclass result (same type and equal fields; the hash of
+    the field tuple; the field text) from the fields that the generated
+    method reads (``Field.compare`` for ``==`` and ``hash``, ``Field.repr``
+    for ``repr``), so the facts a C-tree node keeps beside its elements stay
+    out.  They run on ``_drive``, so no nesting depth exhausts the call
+    stack, and a pair of fields or elements that is one object (as in the
+    hash-consed C-trees) compares equal without a walk.
 
     The block-tree types are slotted, so no instance carries a ``__dict__``
     (a leaf object takes 40 bytes, against 72-152 with one).
     This base holds the one ``__weakref__`` slot of the sequence and block
     types, because :data:`_valid` keeps trees by weak reference
     (``weakref_slot`` of ``dataclass`` needs Python 3.11).  ``Place`` and
-    ``Transition`` do not derive from it and take no weak reference."""
+    ``Transition`` do not derive from it and take no weak reference.  The
+    C-tree types are not slotted: they cache facts in their ``__dict__``."""
 
     __slots__ = ("__weakref__",)
 
@@ -83,7 +91,7 @@ class _Nested:
 
         def step(pair: tuple) -> Generator[tuple, bool, bool]:
             x, y = pair
-            for name in x.__dataclass_fields__:
+            for name in _field_names(x.__class__, "compare"):
                 u, v = getattr(x, name), getattr(y, name)
                 if u is v:
                     continue
@@ -105,7 +113,7 @@ class _Nested:
     def __hash__(self) -> int:
         def step(node: _Nested) -> Generator[_Nested, int, int]:
             values = []
-            for name in node.__dataclass_fields__:
+            for name in _field_names(node.__class__, "compare"):
                 value = getattr(node, name)
                 many = type(value) is tuple
                 items = []
@@ -121,7 +129,7 @@ class _Nested:
 
         def step(node: _Nested) -> Generator[_Nested, None, None]:
             out.append(f"{type(node).__qualname__}(")
-            for k, name in enumerate(node.__dataclass_fields__):
+            for k, name in enumerate(_field_names(node.__class__, "repr")):
                 value = getattr(node, name)
                 many = type(value) is tuple
                 out.append(f"{', ' if k else ''}{name}={'(' if many else ''}")
@@ -138,6 +146,13 @@ class _Nested:
 
         _drive(step, self)
         return "".join(out)
+
+
+@cache
+def _field_names(cls: type, flag: str) -> tuple[str, ...]:
+    """The fields of dataclass ``cls`` whose ``flag`` (``"compare"`` or
+    ``"repr"``) is set, in order: those its generated methods read."""
+    return tuple(f.name for f in fields(cls) if getattr(f, flag))
 
 
 class _Hashed:
@@ -477,7 +492,7 @@ def validate_tree(tree: BlockTree) -> None:
     """
     if _valid.get(id(tree)) is tree:
         return
-    fault = _validate(tree, scan=True)
+    fault = _validate(tree)
     if fault is not None:
         cls, message, _ = fault
         raise cls(message)
@@ -489,16 +504,16 @@ def validate_tree(tree: BlockTree) -> None:
 _Fault = tuple[type[ParseError], str, object]
 
 
-def _validate(tree: BlockTree, scan: bool = False) -> _Fault | None:
+def _validate(tree: BlockTree) -> _Fault | None:
     """The shape check of :func:`validate_tree`, and of :func:`parse` on a
     text its reader found at fault, where it picks the fault to report.
 
     A sequence alternates place-like and transition-like elements and has a
     label of its border kind at each end; a block follows a label, and a
-    parallel or choice block has 2+ branches.  No label may occur twice and,
-    given ``scan``, each must scan as one label; a parsed label does so by
-    construction.  Returns the first fault, or None.  The reader checks the
-    same rules as it builds a tree, and finds a fault exactly where this does.
+    parallel or choice block has 2+ branches.  No label may occur twice, and
+    each must scan as one label (a parsed label does so by construction).
+    Returns the first fault, or None.  The reader checks the same rules as it
+    builds a tree, and finds a fault exactly where this does.
     """
     labels: list[Place | Transition] = []
     # each sequence, its border kind and the closing bracket after it; an own
@@ -536,7 +551,7 @@ def _validate(tree: BlockTree, scan: bool = False) -> _Fault | None:
     for el in labels:
         if el.label in seen:
             return DuplicateLabelError, f"label {el.label!r} occurs more than once", el
-        if scan and not _LABEL.fullmatch(el.label):
+        if not _LABEL.fullmatch(el.label):
             return ParseError, f"label {el.label!r} does not scan as one label", el
         seen.add(el.label)
     return None
@@ -638,21 +653,10 @@ def build_net(tree: BlockTree) -> WfNet:
     places: set[str] = set()
     transitions: set[str] = set()
     arcs: set[tuple[str, str]] = set()
-
-    def entries(el: Element) -> list[str]:
-        if isinstance(el, (Place, Transition)):
-            return [el.label]
-        return [_first_label(seq) for seq in _gates(el)]
-
-    def exits(el: Element) -> list[str]:
-        if isinstance(el, (Place, Transition)):
-            return [el.label]
-        return [_last_label(seq) for seq in _gates(el)]
-
     for seq in walk(tree):
         for left, right in zip(seq.children, seq.children[1:]):
-            for src in exits(left):
-                for dst in entries(right):
+            for src in _ends(left, -1):
+                for dst in _ends(right, 0):
                     arcs.add((src, dst))
         for child in seq.children:
             if isinstance(child, Place):
@@ -660,30 +664,25 @@ def build_net(tree: BlockTree) -> WfNet:
             elif isinstance(child, Transition):
                 transitions.add(child.label)
             elif isinstance(child, LoopBlock):
-                arcs.add((_last_label(child.forward), _first_label(child.back)))
-                arcs.add((_last_label(child.back), _first_label(child.forward)))
+                arcs.add((*_ends(child.forward, -1), *_ends(child.back, 0)))
+                arcs.add((*_ends(child.back, -1), *_ends(child.forward, 0)))
 
     return WfNet(
         places=frozenset(places),
         transitions=frozenset(transitions),
         arcs=frozenset(arcs),
-        init=_first_label(tree),
-        end=_last_label(tree),
+        init=_ends(tree, 0)[0],
+        end=_ends(tree, -1)[0],
     )
 
 
-def _gates(block: Element) -> tuple[SeqBlock, ...]:
-    """The sequences through which control enters and leaves a block."""
-    return (block.forward,) if isinstance(block, LoopBlock) else branches_of(block)
-
-
-def _first_label(seq: SeqBlock) -> str:
-    first = seq.children[0]
-    assert isinstance(first, (Place, Transition))
-    return first.label
-
-
-def _last_label(seq: SeqBlock) -> str:
-    last = seq.children[-1]
-    assert isinstance(last, (Place, Transition))
-    return last.label
+def _ends(el: Element | SeqBlock, i: int) -> list[str]:
+    """The labels where control enters (``i = 0``) or leaves (``i = -1``) a
+    sequence or element: the first or last label of the sequence, of each
+    branch of a parallel or choice block, or of a loop's forward part."""
+    if isinstance(el, (Place, Transition)):
+        return [el.label]
+    if isinstance(el, LoopBlock):
+        el = el.forward
+    seqs = (el,) if isinstance(el, SeqBlock) else el.branches
+    return [seq.children[i].label for seq in seqs]  # type: ignore[union-attr]

@@ -52,17 +52,16 @@ def dynamic_region(
 ) -> frozenset[str]:
     """Places of the minimal place-bordered fragments covering the changes.
 
-    Static nodes are grouped into connected components (adjacency = sharing
-    an arc of ``old``, the net of ``old_tree``); each component is expanded
-    to its fragment and the fragment place sets are unioned.
+    Static nodes are grouped into connected groups (two nodes are joined
+    when they share an arc of ``old``, the net of ``old_tree``); each group
+    is expanded to its fragment and the fragment place sets are unioned.
     """
     if not static_nodes:
         return frozenset()
     index = _index_tree(old_tree)
-    adjacency = _static_adjacency(old, static_nodes)
     out: set[str] = set()
-    for component in _components(adjacency):
-        seq, lo, hi = _expand(index, component)
+    for group in _groups(old, static_nodes):
+        seq, lo, hi = _expand(index, group)
         out |= place_labels(SeqBlock(seq.children[lo : hi + 1]))
     return frozenset(out)
 
@@ -145,39 +144,26 @@ def _index_tree(tree: BlockTree) -> dict[str | int, tuple[SeqBlock, int]]:
     return index
 
 
-def _static_adjacency(old: WfNet, static_nodes: frozenset[str]) -> dict[str, set[str]]:
-    adjacency: dict[str, set[str]] = {n: set() for n in static_nodes}
+def _groups(old: WfNet, static_nodes: frozenset[str]) -> list[set[str]]:
+    """The connected groups of static nodes, two nodes being joined when they
+    share an arc of ``old``: one pass over the arcs merges the groups of each
+    arc's two ends, the smaller into the larger."""
+    group = {n: {n} for n in static_nodes}
     for a, b in old.arcs:
-        if a in static_nodes and b in static_nodes:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    return adjacency
-
-
-def _components(adjacency: dict[str, set[str]]) -> list[set[str]]:
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        component = {start}
-        queue = [start]
-        while queue:
-            for neighbour in adjacency[queue.pop()]:
-                if neighbour not in component:
-                    component.add(neighbour)
-                    queue.append(neighbour)
-        seen |= component
-        components.append(component)
-    return components
+        if a in group and b in group and group[a] is not group[b]:
+            small, large = sorted((group[a], group[b]), key=len)
+            large |= small
+            for n in small:
+                group[n] = large
+    return list({id(g): g for g in group.values()}.values())
 
 
 def _expand(
-    index: dict[str | int, tuple[SeqBlock, int]], component: set[str]
+    index: dict[str | int, tuple[SeqBlock, int]], group: set[str]
 ) -> tuple[SeqBlock, int, int]:
     """Smallest place-bordered stretch of one sequence covering the group."""
     chains = []  # per label, its (sequence, index) at each level from the root
-    for label in component:
+    for label in group:
         chain = [index[label]]
         while id(chain[-1][0]) in index:
             chain.append(index[id(chain[-1][0])])

@@ -3,8 +3,9 @@ paths, kept word for word as a differential reference for ``wfregions.sese``.
 
 A path addresses a sequence by one (element index, branch index) step per
 nesting level; ``walk`` and ``seq_at`` here are the path walker and lookup
-that ``wfregions.ecws`` used to export.  The connected groups of static
-nodes come from the package, whose grouping this module does not restate.
+that ``wfregions.ecws`` used to export.  ``_static_adjacency`` and
+``_components`` are the grouping of static nodes that ``wfregions.sese``
+used before it grouped them in one pass over the arcs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from wfregions.ecws import (
     branches_of,
     place_labels,
 )
-from wfregions.sese import _components, _static_adjacency
 from wfregions.wfnet import WfNet
 
 SeqPath = tuple[tuple[int, int], ...]
@@ -82,6 +82,33 @@ def _index_tree(tree: BlockTree) -> dict[str, tuple[SeqPath, int]]:
         for i, child in enumerate(seq.children)
         if isinstance(child, (Place, Transition))
     }
+
+
+def _static_adjacency(old: WfNet, static_nodes: frozenset[str]) -> dict[str, set[str]]:
+    adjacency: dict[str, set[str]] = {n: set() for n in static_nodes}
+    for a, b in old.arcs:
+        if a in static_nodes and b in static_nodes:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    return adjacency
+
+
+def _components(adjacency: dict[str, set[str]]) -> list[set[str]]:
+    seen: set[str] = set()
+    components: list[set[str]] = []
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        component = {start}
+        queue = [start]
+        while queue:
+            for neighbour in adjacency[queue.pop()]:
+                if neighbour not in component:
+                    component.add(neighbour)
+                    queue.append(neighbour)
+        seen |= component
+        components.append(component)
+    return components
 
 
 def _expand(

@@ -3,6 +3,7 @@ break-off sets, and the exact marking-inclusion test."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -407,6 +408,99 @@ def test_block_lookup_index_equals_the_linear_scans():
                 assert hit is None
             else:
                 assert hit[0] is scan[0] and hit[1] == scan[1]
+
+
+# ── equality, hash and text ─────────────────────────────────────────────────
+
+#: ``CNode`` and ``CBlock`` as plain frozen dataclasses with the same names
+#: and compared fields: the generated ``==``, ``hash`` and ``repr`` that the
+#: C-tree types replace.
+_GENERATED = {
+    CNode: dataclasses.make_dataclass("CNode", ["elements"], frozen=True),
+    CBlock: dataclasses.make_dataclass("CBlock", ["branches"], frozen=True),
+}
+
+
+def _generated(x):
+    """``x`` rebuilt from the :data:`_GENERATED` classes as it stands, with no
+    normalising (it recurses)."""
+    if isinstance(x, str):
+        return x
+    (field,) = (f for f in dataclasses.fields(x) if f.compare)
+    return _GENERATED[type(x)](tuple(map(_generated, getattr(x, field.name))))
+
+
+def _protocol_matches(trees: list, pairs: list[tuple]) -> None:
+    for t in trees:
+        g = _generated(t)
+        assert (hash(t), repr(t)) == (hash(g), repr(g))
+    for a, b in pairs:
+        assert (a == b, a != b) == (_generated(a) == _generated(b), _generated(a) != _generated(b))
+
+
+def test_ctree_types_compare_hash_and_print_as_dataclasses():
+    equal = 0
+    for seed in range(1000):
+        old, new = random_net_pair(random.Random(seed), 6, 30)
+        c = build_ctree(old)
+        c2, apart = build_ctree(new, like=c), build_ctree(new)  # apart shares nothing
+        labels = sorted(places(c))
+        rng = random.Random(seed)
+        deleted = [set(rng.sample(labels, rng.randint(1, len(labels)))) for _ in range(2)]
+        cuts = [delete_places(t, gone) for gone in deleted for t in (c, apart)]
+        subtrees = [(gcs(p, c), gcs(p, apart)) for p in labels if p in places(apart)]
+        pairs = [(c, c2), (c, apart), (c2, apart), (cuts[0], cuts[1]), (cuts[2], cuts[3])]
+        pairs += subtrees
+        _protocol_matches([c, c2, *cuts, *(x for pair in subtrees for x in pair)], pairs)
+        equal += sum(a == b for a, b in pairs)
+    assert equal > 5000  # many pairs walk to the bottom of two equal trees
+    # hand-built trees, as the constructors normalise them, and random ones
+    # with one-branch blocks, empty branches and bare-block branches
+    hand = [
+        CNode(()),
+        CNode(("a", CBlock((CNode(("b",)),)), "c")),
+        CNode(("a", CBlock((CNode(()), CNode(("b",)))))),
+        CNode((CBlock((CNode((CBlock((CNode(("a",)), CNode(("b",)))),)), CNode(("c",)))),)),
+        CBlock((CNode(("a",)), CNode((CBlock((CNode(("b",)), CNode(("c",)))),)))),
+        CBlock(()),
+    ]
+    hand += [_random_ctree(random.Random(seed), [f"x{i}" for i in range(9)]) for seed in range(300)]
+    _protocol_matches(hand, list(zip(hand, hand[1:])) + list(zip(hand, hand[2:])))
+    # a different type is unequal, at the top or further down
+    node = CNode(("a", "b"))
+    assert node.__eq__(node.elements) is NotImplemented and node != _generated(node)
+    block = CBlock((CNode(("b",)), CNode(("c",))))
+    assert CNode(()) != CBlock(()) and CNode(("a", block)) != CNode(("a", "b"))
+    # the facts beside the elements stay fields, and out of the protocol
+    shown = {cls: [(f.name, f.compare, f.repr) for f in dataclasses.fields(cls)] for cls in _GENERATED}
+    assert shown == {
+        CNode: [("elements", True, True), ("own_places", False, False), ("blocks", False, False)],
+        CBlock: [("branches", True, True)],
+    }
+
+
+def test_deep_ctrees_compare_hash_and_print_without_recursion():
+    # 1,000 nested parallel blocks, past the default recursion limit; the
+    # generated dataclass methods recursed a few frames per level
+    c, same = build_ctree(deep_tree(3000)), build_ctree(deep_tree(3000))
+    assert c == same and not c != same and hash(c) == hash(same)
+    text = repr(c)
+    assert text == repr(same) and text.count("CBlock(") == 1000
+    assert text.startswith("CNode(elements=('a0', CBlock(branches=(CNode(elements=('a1', ")
+    # y in place of z at the bottom: built like c, the twin shares every d
+    # branch with it, and nothing with a copy built apart
+    twin = build_ctree(deep_tree(3000, core=(Place("y"),)), like=c)
+    apart = build_ctree(deep_tree(3000, core=(Place("y"),)))
+    assert twin != c and twin == apart and hash(twin) == hash(apart)
+    assert repr(twin) == repr(apart) == text.replace("'z'", "'y'")
+    # deleting the innermost node's places drops the deepest block, then z alone
+    inner = {"a2998", "a2999", "z", "f2999", "f2998"}
+    for labels in (inner, {"z"}):
+        cut, cut_same = delete_places(c, labels), delete_places(same, labels)
+        assert cut != c and cut == cut_same and hash(cut) == hash(cut_same)
+        assert repr(cut) == repr(cut_same)
+    assert repr(delete_places(c, inner)).count("CBlock(") == 999
+    assert repr(delete_places(c, {"z"})) == text.replace("'z', ", "")
 
 
 # ── marking-preserving embedding ─────────────────────────────────────────────
