@@ -7,10 +7,12 @@ of the structural and region-baseline approaches), ``export`` (DOT and
 marking-generation-set renderings), and a reproducible ``fuzz`` loop for
 random agreement testing.
 
-Exit codes: 0 success, 2 parse/usage error, 3 malformed, unreachable or
-unknown-place marking or an unknown gcs place, 4 state-space cap exceeded,
-141 closed output pipe, 1 internal error.  JSON output is byte-stable: keys
-and arrays are sorted.
+A command raises every error it meets; ``main`` prints it as ``error: ...``
+and exits with the code :data:`_EXIT_CODES` gives its class: 2 parse/usage
+error, 3 malformed, unreachable or unknown-place marking or an unknown gcs
+place, 4 state-space cap exceeded, 1 any other.  A closed output pipe exits
+141, and ``fuzz`` exits 1 after printing a disagreement.  JSON output is
+byte-stable: keys and arrays are sorted.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import traceback
 from .ctree import build_ctree, ctree_dot, gcs, generates, mgs_text
 from .ecws import BlockTree, build_net, format_tree, parse, parse_marking
 from .errors import (
+    MarkingError,
     ParseError,
     StateExplosionError,
     UnknownPlaceError,
@@ -39,6 +42,25 @@ from .wfnet import (
     marking_text,
     oracle_classify,
 )
+
+
+class _UsageError(WfregionsError):
+    """Arguments that argparse accepts but the command refuses."""
+
+
+#: README's exit-code table: an error exits with the code of the first class
+#: it is an instance of.
+_EXIT_CODES: dict[type[WfregionsError], int] = {
+    ParseError: 2,
+    _UsageError: 2,
+    UnknownPlaceError: 3,
+    MarkingError: 3,
+    StateExplosionError: 4,
+    WfregionsError: 1,
+}
+
+#: What a ``compare`` row counts, one outcome per marking, in column order.
+_OUTCOMES = ("correctDecisions", "falseNegatives", "falsePositives", "unknowns")
 
 
 def _emit(obj: object) -> None:
@@ -76,11 +98,7 @@ def net_dot(net: WfNet) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     old, new = _load(args.old), _load(args.new)
-    try:
-        marking = None if args.marking is None else parse_marking(args.marking)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    marking = None if args.marking is None else parse_marking(args.marking)
     report = analyze(old, new)
     payload = report_json(report)
     if marking is not None:
@@ -90,11 +108,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f"marking references unknown places: {', '.join(sorted(unknown))}"
             )
         if not generates(report.old_ctree, marking):
-            text = marking_text(marking)
-            print(
-                f"error: marking {text} is not reachable in the old net", file=sys.stderr
-            )
-            return 3
+            raise MarkingError(f"marking {marking_text(marking)} is not reachable in the old net")
         payload["decision"] = decide_marking(marking, report).value
     _emit(payload)
     return 0
@@ -139,6 +153,7 @@ def compare_rows(
     # bound once: each is read per marking
     migratable, non_migratable = Decision.MIGRATABLE, Decision.NON_MIGRATABLE
     unknown = Decision.UNKNOWN
+    correct, false_neg, false_pos, unknowns = _OUTCOMES
     bad, improved = oracle.non_migratable, region.improved_places
     scored = [
         ("PSCR" if report.pscr_exists else "SCR",
@@ -147,28 +162,17 @@ def compare_rows(
          lambda m: migratable if m.isdisjoint(improved) else non_migratable),
     ]
     for approach, decide in scored:
-        correct = false_neg = false_pos = unknowns = 0
+        counts = dict.fromkeys(_OUTCOMES, 0)
         for m in markings:
             truth = non_migratable if m in bad else migratable
             got = decide(m)
-            if got is unknown:
-                unknowns += 1
-            elif got is truth:
-                correct += 1
-            elif got is non_migratable:
-                false_neg += 1
-            else:
-                false_pos += 1
-        rows.append(
-            {
-                "approach": approach,
-                "totalMarkings": len(markings),
-                "correctDecisions": correct,
-                "falseNegatives": false_neg,
-                "falsePositives": false_pos,
-                "unknowns": unknowns,
-            }
-        )
+            counts[
+                unknowns if got is unknown
+                else correct if got is truth
+                else false_neg if got is non_migratable
+                else false_pos
+            ] += 1
+        rows.append({"approach": approach, "totalMarkings": len(markings), **counts})
     return rows
 
 
@@ -178,14 +182,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.json:
         _emit({"rows": rows})
         return 0
-    columns = (
-        "approach",
-        "totalMarkings",
-        "correctDecisions",
-        "falseNegatives",
-        "falsePositives",
-        "unknowns",
-    )
+    columns = ("approach", "totalMarkings", *_OUTCOMES)
     lines = [columns, *([str(row[col]) for col in columns] for row in rows)]
     widths = [max(map(len, cells)) for cells in zip(*lines)]
     for cells in lines:
@@ -198,21 +195,16 @@ def cmd_export(args: argparse.Namespace) -> int:
     tree = _load(args.file)
     what, *rest = args.what
     if what not in ("net", "ctree", "gcs"):
-        print(f"error: unknown export target {what!r}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown export target {what!r}")
     wanted = 1 if what == "gcs" else 0  # the place label of a gcs export
     if len(rest) < wanted:
-        print("error: gcs export needs a place label", file=sys.stderr)
-        return 2
+        raise _UsageError("gcs export needs a place label")
     if len(rest) > wanted:
-        print(f"error: unexpected values after --what {what}: {' '.join(rest[wanted:])}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError(f"unexpected values after --what {what}: {' '.join(rest[wanted:])}")
     fmt = args.format or ("dot" if what == "net" else "mgs")
     if what == "net":
         if fmt != "dot":
-            print("error: nets only export as dot", file=sys.stderr)
-            return 2
+            raise _UsageError("nets only export as dot")
         print(net_dot(build_net(tree)))
         return 0
     ctree = build_ctree(tree)
@@ -329,18 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as for a filter stopped by the closed pipe
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownPlaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except StateExplosionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except WfregionsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     except Exception:  # pragma: no cover - defensive
         traceback.print_exc()
         return 1

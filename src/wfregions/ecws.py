@@ -48,7 +48,7 @@ from itertools import islice
 from operator import is_not
 from typing import Any
 
-from .errors import DuplicateLabelError, LexError, ParseError
+from .errors import DuplicateLabelError, LexError, MarkingError, ParseError
 from .wfnet import Marking, WfNet
 
 # ── block tree ──────────────────────────────────────────────────────────────
@@ -320,14 +320,15 @@ _TOKEN = re.compile(rf"(?:[\s,]|#.*)*({_LABEL.pattern}|[()\[\]{{}}]|\Z|(?s:.+))"
 
 def parse_marking(text: str) -> Marking:
     """Inverse of :func:`~wfregions.wfnet.marking_text`: labels joined by
-    commas.  Raises ValueError unless every part is one label, and on a
-    label that occurs twice (a safe net holds one token per place)."""
+    commas.  Raises MarkingError, a ValueError, unless every part is one
+    label, and on a label that occurs twice (a safe net holds one token per
+    place)."""
     marking: set[str] = set()
     for label in [part.strip() for part in text.split(",")]:
         if not _LABEL.fullmatch(label):
-            raise ValueError(f"malformed marking text {text!r}: {label!r} is not a label")
+            raise MarkingError(f"malformed marking text {text!r}: {label!r} is not a label")
         if label in marking:
-            raise ValueError(f"malformed marking text {text!r}: {label!r} occurs twice")
+            raise MarkingError(f"malformed marking text {text!r}: {label!r} occurs twice")
         marking.add(label)
     return frozenset(marking)
 

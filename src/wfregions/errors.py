@@ -38,6 +38,11 @@ class UnknownPlaceError(WfregionsError):
     """A marking or query names a place that the net does not contain."""
 
 
+class MarkingError(WfregionsError, ValueError):
+    """Marking text that is not a set of labels, or a marking the net cannot
+    reach.  A ``ValueError`` too, so callers that caught one keep working."""
+
+
 class NotEnabledError(WfregionsError):
     """Attempt to fire a transition whose input places are not all marked."""
 

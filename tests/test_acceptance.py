@@ -30,7 +30,7 @@ from wfregions import (
 )
 from wfregions.cli import compare_rows
 
-from conftest import fixture_pair, load_fixture
+from conftest import FIXTURES, fixture_pair, load_fixture, transposition_pair
 from ctree_reference import markings_of
 
 CAPTION_STRINGS = [
@@ -244,6 +244,31 @@ def test_region_analysis_beats_the_baseline():
     assert rep.pscr == {"PC_enabled", "PC"}
     elapsed = time.perf_counter() - t0
     report("baseline comparison", "; ".join(summary) + f", {elapsed:.1f} s")
+
+
+def test_no_compare_row_migrates_an_instance_that_cannot(corpus):
+    # every approach may block instances that could migrate, but none may
+    # pass one that cannot: the SESE row keeps the static places its trim drops
+    t0 = time.perf_counter()
+    names = sorted(path.stem for path in FIXTURES.glob("*.ecws"))
+    sweeps = {
+        "corpus": corpus,
+        "transposition": [transposition_pair(seed) for seed in range(800)],
+        "fixtures": [fixture_pair(a, b) for a in names for b in names],
+    }
+    summary = []
+    for sweep, pairs in sweeps.items():
+        markings = blocked = 0
+        for old, new in pairs:
+            rows = compare_rows(old, new)
+            assert [row["falsePositives"] for row in rows] == [0, 0], (
+                format_tree(old), format_tree(new), rows
+            )
+            markings += rows[1]["totalMarkings"]
+            blocked += rows[1]["falseNegatives"]
+        summary.append(f"{sweep} {len(pairs)} pairs, {markings} markings, SESE blocks {blocked}")
+    elapsed = time.perf_counter() - t0
+    report("sound compare rows", "; ".join(summary) + f", {elapsed:.1f} s")
 
 
 # ── grammar round-trip ───────────────────────────────────────────────────────

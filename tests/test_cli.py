@@ -14,7 +14,7 @@ import pytest
 
 import wfregions.cli as cli
 import wfregions.regions as regions
-from wfregions import Decision, build_ctree
+from wfregions import Decision, NotEnabledError, build_ctree
 from wfregions.cli import main
 
 from conftest import FIXTURES, mutated_texts, nested_and
@@ -273,8 +273,8 @@ def test_compare_json_rows(capsys):
         "unknowns": 0,
     }
     assert rows[1]["approach"] == "SESE"
-    assert rows[1]["correctDecisions"] == 2
-    assert rows[1]["falseNegatives"] == 6
+    assert rows[1]["correctDecisions"] == 0
+    assert rows[1]["falseNegatives"] == 8
 
 
 def test_compare_uses_scr_when_no_perfect_region(capsys):
@@ -382,6 +382,22 @@ def test_fuzz_without_seed_prints_a_replayable_seed(capsys, monkeypatch):
     code, _, replay = run(capsys, "fuzz", "--count", "5", "--seed", seed)
     assert code == 1
     assert replay == report
+
+
+# ── exit codes ───────────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize(
+    "kind, code",
+    [*cli._EXIT_CODES.items(), (NotEnabledError, 1)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, kind, code):
+    def fails(args):
+        raise kind("boom")
+
+    monkeypatch.setattr(cli, "cmd_fuzz", fails)
+    assert run(capsys, "fuzz") == (code, "", "error: boom\n")
 
 
 # ── argument errors ──────────────────────────────────────────────────────────

@@ -384,6 +384,15 @@ def test_deletion_rebuilds_only_the_paths_to_deleted_places():
         assert sum(id(n) not in before for n in _nodes(d)) == len(on_paths)
 
 
+def test_only_a_tree_with_a_block_of_no_branches_generates_the_empty_marking():
+    # such a block is the product of no branches, whose one marking is empty;
+    # no tree built from a net holds one
+    for c in (CNode((CBlock(()),)), CNode(("p1", CBlock(())))):
+        assert frozenset() in markings_of(c) and generates(c, frozenset())
+    c = build_ctree(parse(PARALLEL))
+    assert frozenset() not in markings_of(c) and not generates(c, frozenset())
+
+
 def test_a_tree_includes_itself_and_an_equal_copy():
     # the copy shares no node with c, so the test walks the whole tree
     c = build_ctree(composed_pair(5)[0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -36,6 +37,7 @@ from wfregions.randomnets import (
     mutate_relabel_transition,
     mutate_remove_place,
     mutate_transpose_places,
+    oracle_mismatches,
 )
 
 from conftest import fixture_pair, transposition_pair
@@ -123,6 +125,25 @@ def test_agreement_check_flags_known_divergence():
         assert f"'{p}': ('overestimation', 'perfect_member')" in per_place
     assert per_place.count("': (") == 2
 
+
+
+def test_each_field_that_differs_from_the_oracle_is_told_once():
+    # the oracle and the analysis agree on the claims pair, so each altered
+    # report field is the one mismatch; a wrong pscr_exists blanks pscr
+    old, new = fixture_pair("claims_old", "claims_new")
+    report, oracle = analyze(old, new), oracle_classify(build_net(old), build_net(new))
+    assert set(oracle_mismatches(report, oracle).values()) == {None}
+    got = oracle_mismatches(dataclasses.replace(report, scr=report.scr - {"u1"}), oracle)
+    assert got == {
+        "scr": "scr: structural ['PC', 'PC_enabled', 'u2', 'u3'] "
+        "vs oracle ['PC', 'PC_enabled', 'u1', 'u2', 'u3']",
+        "pscr_exists": None, "pscr": None, "per_place": None,
+    }
+    got = oracle_mismatches(dataclasses.replace(report, pscr_exists=False), oracle)
+    assert got == {
+        "scr": None, "pscr_exists": "pscr_exists: structural False vs oracle True",
+        "pscr": "", "per_place": None,
+    }
 
 
 def test_agreement_lines_do_not_depend_on_the_hash_seed():

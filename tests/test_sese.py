@@ -36,23 +36,25 @@ def test_relabel_regions():
     assert reg.static_nodes == {"p1", "p2", "p3", "p4", "p7", "p8", "t1", "t2", "t8"}
     # the smallest place-bordered fragments covering them span the whole net
     assert reg.dynamic_places == {f"p{i}" for i in range(1, 9)}
-    assert reg.improved_places == {"p2", "p3", "p4", "p5", "p6", "p7"}
+    # the trim drops p1 and p8, which are static, so the region keeps them
+    assert reg.improved_places == reg.dynamic_places
 
 
 def test_xor_to_loop_regions():
     reg = regions_for("xorloop_old", "xorloop_new")
     assert reg.static_nodes == {"p1", "p2", "p3", "p4", "t2", "t3"}
     assert reg.dynamic_places == {"p1", "p2", "p3", "p4"}
-    assert reg.improved_places == {"p2", "p3"}
+    # the trim drops p1 and p4, which are static, so the region keeps them
+    assert reg.improved_places == reg.dynamic_places
 
 
 def test_branch_swap_regions():
     reg = regions_for("parallel_old", "branchswap_new")
     assert reg.static_nodes == {"p3", "p5", "t2", "t3"}
     assert reg.dynamic_places == {"p2", "p3", "p4", "p5"}
-    # trimming the edge places leaves nothing: the baseline sees no region
-    # although two of the old markings are genuinely non-migratable
-    assert reg.improved_places == frozenset()
+    # the trim drops every place; the static p3 and p5 stay, so the two
+    # non-migratable markings p2,p5 and p3,p4 are blocked
+    assert reg.improved_places == {"p3", "p5"}
 
 
 def test_training_regions():
@@ -65,8 +67,9 @@ def test_training_regions():
         "d1", "d2", "m1", "m2", "m3", "m4", "mb1",
         "p_6", "p_7", "p_8", "p_9", "p_t10", "p_t5", "p_t7", "p_t8", "p_t9",
     }
-    # the trim drops the branch-border places m1, m4, d1, d2
-    assert reg.improved_places == reg.dynamic_places - {"m1", "m4", "d1", "d2"}
+    # the trim drops the branch-border places m1, m4, d1, d2; the static
+    # d1 and d2 stay
+    assert reg.improved_places == reg.dynamic_places - {"m1", "m4"}
 
 
 def test_identical_nets_have_empty_regions():
@@ -84,7 +87,7 @@ def test_pipeline_steps_compose():
     assert improved_region(old, dynamic) <= dynamic
     reg = sese_region(old, old_net, new_net)
     assert (reg.static_nodes, reg.dynamic_places, reg.improved_places) == (
-        static, dynamic, improved_region(old, dynamic)
+        static, dynamic, improved_region(old, dynamic) | (dynamic & static)
     )
 
 
@@ -163,7 +166,8 @@ def test_improved_region_equals_the_scanned_reference(corpus):
     trees = [deep_tree(30), deep_tree(31, core=(Place("y"),))]
     for old, new in _sese_pairs(corpus):
         region = sese_region(old, build_net(old), build_net(new))
-        assert region.improved_places == _scanned_improved_region(old, region.dynamic_places)
+        dynamic, static = region.dynamic_places, region.static_nodes
+        assert region.improved_places == _scanned_improved_region(old, dynamic) | (dynamic & static)
         trees.append(old)
     for tree in trees:
         places = sorted(place_labels(tree))
