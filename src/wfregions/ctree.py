@@ -19,18 +19,18 @@ iff it has one, no block has one branch, and no branch is a bare block.
 On top of the tree this module provides: the set of places concurrent with a
 given place (:func:`gcs`), one marking drawn at random
 (:func:`sample_marking`), deletion of places, break-off sets (place sets
-hitting every marking: deleting them leaves a tree with no elements), and one
-exact inclusion test (:func:`mpe_exists`) that decides
-whether every marking one tree generates is also generable by another.
-Membership of one marking (:func:`generates`) is that test on the marking's
-own tree.
+hitting every marking, :func:`is_breakoff`: decided bottom-up from the
+branches that meet the set, without building the deleted tree), and one
+exact inclusion test (:func:`mpe_exists`) that decides whether every
+marking one tree generates is also generable by another.  Membership of one
+marking (:func:`generates`) is that test on the marking's own tree.
 
 No function here recurses.  Every walk (building, seeding the intern
-table, place sets, sampling, deletion, rendering) is a generator fold run by
-``ecws._drive``, and a place is found by following ``CNode.branch_of`` down
-from the root (:func:`locate`).  ``CNode`` and ``CBlock`` compare, hash and
-print through ``ecws._Nested`` on that driver, with the dataclass results,
-which read ``elements`` and ``branches`` only.
+table, place sets, sampling, deletion, break-off, rendering) is a generator
+fold run by ``ecws._drive``, and a place is found by following
+``CNode.branch_of`` down from the root (:func:`locate`).  ``CNode`` and
+``CBlock`` compare, hash and print through ``ecws._Nested`` on that driver,
+with the dataclass results, which read ``elements`` and ``branches`` only.
 
 The new net's tree can be built like the old one's, through an intern table
 (:func:`build_ctree`), so the two share every subtree they have in common,
@@ -234,7 +234,9 @@ def _node_key(elements: tuple[str | CBlock, ...]) -> tuple[str | int, ...]:
 
 
 def places(c: CTree) -> frozenset[str]:
-    """All place labels anywhere in the tree: the root's ``place_set``."""
+    """All place labels anywhere in the tree: the root's ``place_set``.
+    No package code calls it; it stays public for library users and for
+    the benchmark's tracer, which wraps it by name."""
     return c.place_set
 
 
@@ -338,8 +340,29 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
 
 def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
     """True iff every marking of the tree meets ``labels`` (equivalently:
-    deleting them leaves the tree unable to generate any marking)."""
-    return not delete_places(c, labels).generable
+    deleting them leaves the tree unable to generate any marking).
+
+    Decided bottom-up, with no deleted copy: a node breaks off iff its own
+    places lie in ``labels`` and each of its blocks has a branch that breaks
+    off, as a product's marking meets ``labels`` iff some branch's share
+    does.  A branch whose ``place_set`` misses ``labels`` has a marking that
+    avoids them (in normal form every branch generates one), so the fold
+    enters only branches that meet them.  Exact on every tree in normal
+    form, repeated labels included.
+    """
+
+    def breaks(node: CNode) -> Generator[CNode, bool, bool]:
+        if not node.own_places <= labels:
+            return False
+        for block in node.blocks:
+            for branch in block.branches:
+                if not branch.place_set.isdisjoint(labels) and (yield branch):
+                    break
+            else:
+                return False
+        return True
+
+    return _drive(breaks, c)
 
 
 # ── exact marking inclusion ─────────────────────────────────────────────────

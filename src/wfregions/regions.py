@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .ctree import CTree, build_ctree, delete_places, gcs
-from .ctree import is_breakoff, locate, mpe_exists, places
+from .ctree import is_breakoff, locate, mpe_exists
 from .ecws import BlockTree
 from .wfnet import Marking, MemberClass
 
@@ -72,7 +72,9 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
     outermost block object holds the place in both trees (an unchanged region
     of trees built with ``build_ctree(new, like=old)``), the two routes are
     one path, the two gcs trees are equal and the place is not reformed: no
-    route is followed, no gcs is built and nothing is checked.
+    route is followed, no gcs is built and nothing is checked.  Like
+    ``mpe_exists``, the verdicts are exact when each tree holds each label
+    once, as every tree built from a net does.
     """
     r, lc, ac, wrc, src = set(), set(), set(), set(), set()
     new_places, outer, outer2 = c2.place_set, c.branch_of, c2.branch_of
@@ -99,13 +101,29 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
 
 
 def _reformed(p: str, c: CTree, c2: CTree) -> tuple[bool, bool]:
-    """(weak, strong) reformed concurrency of a place concurrent in both trees."""
+    """(weak, strong) reformed concurrency of a place concurrent in both trees.
+
+    The places lost from (or new in) p's concurrent surroundings are read
+    from the sibling branches of the two gcs trees that are not one object
+    in both: the branches of a gcs tree's one block, or the tree itself when
+    the normal form spliced its only sibling branch into it.  A shared
+    branch adds neither, and the break-off test enters no branch that misses
+    them.  Exact when each tree holds each label once (every tree built
+    from a net): a place of an unshared branch is then in no shared one.
+    """
     g, g2 = gcs(p, c), gcs(p, c2)
     if mpe_exists(g, g2):
         return False, False
-    lost = places(g) - places(g2)
-    gained = places(g2) - places(g)
-    return True, is_breakoff(g, lost) or is_breakoff(g2, gained)
+    tops, tops2 = _siblings(g), _siblings(g2)
+    ids, ids2 = set(map(id, tops)), set(map(id, tops2))
+    here = frozenset().union(*[b.place_set for b in tops if id(b) not in ids2])
+    there = frozenset().union(*[b.place_set for b in tops2 if id(b) not in ids])
+    return True, is_breakoff(g, here - there) or is_breakoff(g2, there - here)
+
+
+def _siblings(g: CTree) -> tuple[CTree, ...]:
+    """The top-level branches of a gcs tree: its block's, or itself."""
+    return g.blocks[0].branches if len(g.elements) == 1 and g.blocks else (g,)
 
 
 def pscr_exists(

@@ -599,12 +599,13 @@ def _residues() -> list[tuple[CNode, frozenset[str], CNode]]:
 
 
 def test_deletion_residues_are_pinned():
-    # deleting L keeps exactly the markings that avoid L; the break-off and
-    # inclusion answers, and apart from them three seeded draws on each
-    # residue, are pinned
+    # deleting L keeps exactly the markings that avoid L, and L breaks off
+    # iff nothing is left; the break-off and inclusion answers, and apart
+    # from them three seeded draws on each residue, are pinned
     facts, draws = hashlib.sha256(), hashlib.sha256()
     for i, (c, labels, d) in enumerate(_residues()):
         assert markings_of(d) == {m for m in markings_of(c) if not m & labels}
+        assert is_breakoff(c, labels) == (not d.generable)
         rng = random.Random(i)
         drawn = [sorted(sample_marking(d, rng)) for _ in range(3)] if d.generable else []
         answers = (is_breakoff(c, labels), d.generable, mpe_exists(d, c), mpe_exists(c, d))
@@ -612,6 +613,11 @@ def test_deletion_residues_are_pinned():
         draws.update((repr(drawn) + "\n").encode())
     assert facts.hexdigest() == PINNED_RESIDUE_FACTS
     assert draws.hexdigest() == PINNED_RESIDUE_DRAWS
+    # the empty tree, and nodes with a block of no branches, whose one
+    # marking is empty and so meets no L
+    for c in (CNode(()), CNode((CBlock(()),)), CNode(("p1", CBlock(())))):
+        for labels in (frozenset(), frozenset({"p1"})):
+            assert is_breakoff(c, labels) == (not delete_places(c, labels).generable)
 
 
 PINNED_RESIDUE_FACTS = "d1f31b87688f6413c8508008131ac98c593378cc8eaa1b90e240d28830223db0"

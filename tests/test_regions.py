@@ -4,8 +4,12 @@ decisions, each cross-checked against the exhaustive oracle."""
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,7 +108,8 @@ def test_member_sets_split():
 
 
 def reference_change_sets(c, c2) -> ChangeSets:
-    """One gcs pair, embedding check and break-off test per old place."""
+    """One gcs pair, embedding check and break-off test per old place; a
+    break-off is decided by deletion, apart from ``is_breakoff``."""
     r, lc, ac, wrc, src = set(), set(), set(), set(), set()
     new_places = places(c2)
     for p in sorted(places(c)):
@@ -122,7 +127,7 @@ def reference_change_sets(c, c2) -> ChangeSets:
                 wrc.add(p)
                 lost = places(g) - places(g2)
                 gained = places(g2) - places(g)
-                if is_breakoff(g, lost) or is_breakoff(g2, gained):
+                if not delete_places(g, lost).generable or not delete_places(g2, gained).generable:
                     src.add(p)
     return ChangeSets(*map(frozenset, (r, lc, ac, wrc, src)))
 
@@ -434,6 +439,67 @@ def test_deep_pair_changed_at_the_bottom_is_analyzed():
     assert report.change_sets.cr_r == {"z"} and report.perf == {"z"}
     assert len(report.over) == 200 and report.pscr_exists
     assert Counter(report.per_place.values())[MemberClass.SAFE] == 1200
+
+
+#: Counts, in one process, the C-tree fold steps (each node a fold of
+#: ``_drive`` visits) and the deletions of ``analyze`` on the chain of 50,
+#: 100 and 200 parallel levels changed at the bottom.
+CHAIN_WORK = """
+import wfregions.ctree as ctree
+import wfregions.regions as regions
+from wfregions import Place, analyze
+from conftest import deep_tree
+
+counts = {}
+drive, delete = ctree._drive, ctree.delete_places
+
+
+def counting_drive(step, root):
+    def counted(node):
+        counts["steps"] += 1
+        return step(node)
+    return drive(counted, root)
+
+
+def counting_delete(c, labels):
+    counts["deletions"] += 1
+    return delete(c, labels)
+
+
+ctree._drive = counting_drive
+ctree.delete_places = regions.delete_places = counting_delete
+for levels in (50, 100, 200):
+    counts.update(steps=0, deletions=0)
+    analyze(deep_tree(3 * levels), deep_tree(3 * levels, core=(Place("y"),)))
+    print(levels, counts["steps"], counts["deletions"])
+"""
+
+
+def test_chain_work_grows_linearly_with_its_levels():
+    # every level's place has its own reformed verdict; the verdicts take
+    # their lost and gained places from the unshared branches and build no
+    # deleted copy, so the fold steps about double per doubling of levels,
+    # and only the PSCR check deletes.  Counts, unlike seconds, repeat
+    # exactly, under either hash seed
+    src = str(Path(regions.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", CHAIN_WORK],
+            capture_output=True, env=env, timeout=300, check=True, text=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    rows = [tuple(map(int, line.split())) for line in outputs.pop().splitlines()]
+    assert [levels for levels, _, _ in rows] == [50, 100, 200]
+    assert all(deletions == 1 for _, _, deletions in rows)
+    for (_, steps, _), (_, doubled, _) in zip(rows, rows[1:]):
+        assert doubled <= 2.2 * steps
 
 
 def test_decide_unknown_only_without_perfect_region():
