@@ -24,8 +24,9 @@ and the shape check of ``validate_tree`` then names the fault.  The reader
 does not check that each label scans as one, since a parsed label does so
 by construction.  ``format_tree`` prints the canonical
 separator-free text, and ``build_net`` checks a tree with ``validate_tree``
-and wires it into a :class:`~wfregions.wfnet.WfNet`; neither checks a tree
-that ``parse`` returned or that passed the check before.
+and wires it into a :class:`~wfregions.wfnet.WfNet`.  One rule holds: the
+reader checks the text it reads, and ``validate_tree`` and ``build_net``
+check the tree they are given, on every call.
 ``branches_of`` is the one place that knows how each kind of block holds its
 sequences.  A valid tree holds each sequence object once, so a sequence is
 addressed by the object itself: ``walk`` visits the sequences in preorder,
@@ -40,7 +41,6 @@ recurses.
 from __future__ import annotations
 
 import re
-import weakref
 from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass, fields
 from functools import cache
@@ -76,14 +76,11 @@ class _Nested:
     hash-consed C-trees) compares equal without a walk.
 
     The block-tree types are slotted, so no instance carries a ``__dict__``
-    (a leaf object takes 40 bytes, against 72-152 with one).
-    This base holds the one ``__weakref__`` slot of the sequence and block
-    types, because :data:`_valid` keeps trees by weak reference
-    (``weakref_slot`` of ``dataclass`` needs Python 3.11).  ``Place`` and
-    ``Transition`` do not derive from it and take no weak reference.  The
-    C-tree types are not slotted: they cache facts in their ``__dict__``."""
+    (a leaf object takes 40 bytes, against 72-152 with one) and none takes a
+    weak reference; this base adds no slot.  The C-tree types are not
+    slotted: they cache facts in their ``__dict__``."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -357,9 +354,10 @@ _BRACKETS = {*_OPENS, *_CLOSER.values()}
 def parse(text: str) -> BlockTree:
     """Parse ECWS text into a validated block tree.
 
-    Every ParseError it raises carries the line and column of its token, and
-    an illegal character anywhere in the text is reported before any other
-    error.
+    The reader checks the text as it reads it; nothing else is kept, so
+    :func:`build_net` checks the returned tree again.  Every ParseError it
+    raises carries the line and column of its token, and an illegal
+    character anywhere in the text is reported before any other error.
     """
     tree, valid = _read(text)
     if not valid:
@@ -368,14 +366,7 @@ def parse(text: str) -> BlockTree:
         at: dict[int, int] = {}
         cls, message, el = _validate(_read(text, at)[0])
         raise cls(message, *_line_col(text, _offset(text, at[id(el)])))
-    _valid[id(tree)] = tree
     return tree
-
-
-#: Every live tree that :func:`parse` returned or :func:`validate_tree`
-#: passed, by ``id`` (hashing a tree would walk it).  Trees are immutable, so
-#: :func:`validate_tree` and :func:`build_net` check none of them again.
-_valid: weakref.WeakValueDictionary[int, BlockTree] = weakref.WeakValueDictionary()
 
 
 def _read(text: str, at: dict[int, int] | None = None) -> tuple[BlockTree, bool]:
@@ -488,16 +479,12 @@ def validate_tree(tree: BlockTree) -> None:
     Raises ParseError for shape violations and for a label that does not
     scan as one label (it would break the parse/format round trip), and
     DuplicateLabelError when any label (place or transition) occurs twice.
-    A tree that :func:`parse` returned, or that passed before, it does not
-    walk again.
+    It walks the tree on every call.
     """
-    if _valid.get(id(tree)) is tree:
-        return
     fault = _validate(tree)
     if fault is not None:
         cls, message, _ = fault
         raise cls(message)
-    _valid[id(tree)] = tree
 
 
 #: What the shape check found wrong: the error class, its message, and the
@@ -639,7 +626,7 @@ def build_net(tree: BlockTree) -> WfNet:
     """Wire a valid block tree into a workflow net.
 
     The tree is checked first with :func:`validate_tree`, whose errors it
-    raises, unless :func:`parse` returned it or it passed that check before.
+    raises, on every call.
 
     Adjacent sequence elements are connected exit-to-entry.  A parallel
     block's entries are the first places of its branches (fed by the fork)

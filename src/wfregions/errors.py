@@ -43,10 +43,6 @@ class MarkingError(WfregionsError, ValueError):
     reach.  A ``ValueError`` too, so callers that caught one keep working."""
 
 
-class NotEnabledError(WfregionsError):
-    """Attempt to fire a transition whose input places are not all marked."""
-
-
 class StateExplosionError(WfregionsError):
     """Reachability enumeration exceeded the configured state cap."""
 

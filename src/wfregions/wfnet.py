@@ -1,4 +1,4 @@
-"""Workflow-net semantics: the token game, reachability, and the migration oracle.
+"""Workflow-net semantics: reachability, soundness, and the migration oracle.
 
 A marking is a plain ``frozenset`` of place labels; because the nets built
 from ECWS text are safe, a set is a faithful representation.  The oracle
@@ -7,7 +7,7 @@ the old net is migratable exactly when the same label set is reachable in the
 new net.
 
 Reachability, the soundness check and the oracle share one breadth-first
-explorer.  It holds a state as an int with one bit per place (places are
+explorer, the one place that fires a transition.  It holds a state as an int with one bit per place (places are
 numbered in sorted label order) and its enabled transitions as an int with
 one bit per transition (numbered in name order).  A new state inherits the
 enabled set of the state that found it, less the transitions reading a place
@@ -27,12 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import (
-    NotEnabledError,
-    SoundnessError,
-    StateExplosionError,
-    UnknownPlaceError,
-)
+from .errors import SoundnessError, StateExplosionError
 
 Marking = frozenset[str]
 
@@ -76,36 +71,6 @@ class WfNet:
             if src in acc:
                 acc[src].add(dst)
         return {t: frozenset(ps) for t, ps in acc.items()}
-
-    @property
-    def initial_marking(self) -> Marking:
-        return frozenset((self.init,))
-
-    @property
-    def final_marking(self) -> Marking:
-        return frozenset((self.end,))
-
-
-def _check_marking(net: WfNet, marking: Marking) -> None:
-    unknown = marking - net.places
-    if unknown:
-        raise UnknownPlaceError(
-            f"marking names places not in the net: {marking_text(unknown)}"
-        )
-
-
-def enabled_transitions(net: WfNet, marking: Marking) -> frozenset[str]:
-    """Transitions whose input places are all marked."""
-    _check_marking(net, marking)
-    return frozenset(t for t in net.transitions if net.pre[t] <= marking)
-
-
-def fire(net: WfNet, marking: Marking, transition: str) -> Marking:
-    """Fire one enabled transition and return the successor marking."""
-    _check_marking(net, marking)
-    if transition not in net.transitions or not net.pre[transition] <= marking:
-        raise NotEnabledError(f"transition {transition!r} is not enabled")
-    return (marking - net.pre[transition]) | net.post[transition]
 
 
 class _PlaceIndex:

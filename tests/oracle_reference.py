@@ -3,9 +3,13 @@
 ``reachability_graph``, ``reachable_markings``, ``check_soundness`` and
 ``oracle_classify`` below are the frozenset breadth-first search, the
 soundness check and the per-place classifier that ``wfregions.wfnet`` used to
-run, kept word for word (only renamed to ``reference_*``), so that
-``tests/test_oracle.py`` can require the rebuilt oracle to return the same
-results and raise the same errors.
+run, kept word for word (only renamed to ``reference_*``, and with the net's
+initial and final markings spelled out), so that ``tests/test_oracle.py`` can
+require the rebuilt oracle to return the same results and raise the same
+errors.  ``reference_enabled`` and ``reference_fire`` are the firing rule as
+set operations, which ``wfregions.wfnet`` exported until its explorer became
+the one place that fires a transition; ``tests/test_net.py`` and the
+explorer's invariant check read them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,18 @@ from wfregions.wfnet import (
 )
 
 
+def reference_enabled(net: WfNet, marking: Marking) -> frozenset[str]:
+    """Transitions whose input places are all marked."""
+    return frozenset(t for t in net.transitions if net.pre[t] <= marking)
+
+
+def reference_fire(net: WfNet, marking: Marking, transition: str) -> Marking:
+    """Fire one enabled transition and return the successor marking."""
+    if transition not in net.transitions or not net.pre[transition] <= marking:
+        raise ValueError(f"transition {transition!r} is not enabled")
+    return (marking - net.pre[transition]) | net.post[transition]
+
+
 def reference_reachability_graph(
     net: WfNet, cap: int = DEFAULT_STATE_CAP
 ) -> dict[Marking, tuple[tuple[str, Marking], ...]]:
@@ -33,7 +49,7 @@ def reference_reachability_graph(
     SoundnessError if a firing would put a second token on a place (the nets
     this package builds are safe, so that indicates a malformed net).
     """
-    start = net.initial_marking
+    start = frozenset((net.init,))
     graph: dict[Marking, tuple[tuple[str, Marking], ...]] = {}
     queue: deque[Marking] = deque((start,))
     seen = {start}
@@ -74,7 +90,7 @@ def reference_check_soundness(net: WfNet, cap: int = DEFAULT_STATE_CAP) -> None:
     every transition must fire somewhere in the reachability graph.
     """
     graph = reference_reachability_graph(net, cap)
-    final = net.final_marking
+    final = frozenset((net.end,))
     if final not in graph:
         raise SoundnessError("final marking is not reachable")
 

@@ -14,7 +14,7 @@ import pytest
 
 import wfregions.cli as cli
 import wfregions.regions as regions
-from wfregions import Decision, NotEnabledError, build_ctree
+from wfregions import Decision, SoundnessError, build_ctree
 from wfregions.cli import main
 
 from conftest import FIXTURES, mutated_texts, nested_and
@@ -389,7 +389,7 @@ def test_fuzz_without_seed_prints_a_replayable_seed(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "kind, code",
-    [*cli._EXIT_CODES.items(), (NotEnabledError, 1)],
+    [*cli._EXIT_CODES.items(), (SoundnessError, 1)],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
 def test_each_error_class_exits_with_its_code(capsys, monkeypatch, kind, code):

@@ -653,7 +653,7 @@ def test_block_trees_pickle_and_copy_to_equal_trees():
         assert copy.deepcopy(tree) == tree
 
 
-def test_block_tree_types_keep_their_fields_freeze_and_take_weak_references():
+def test_block_tree_types_keep_their_fields_freeze_and_take_no_weak_references():
     tree = parse("p1t1(p2)(p3)t2p4[t3p5t4][t5]p6t6{p7}{t7}t8p8")
     assert {cls: [(f.name, f.type) for f in dataclasses.fields(cls)] for cls in _FIELDS} == _FIELDS
     elements = list(_elements(tree))
@@ -661,12 +661,9 @@ def test_block_tree_types_keep_their_fields_freeze_and_take_weak_references():
     for el in elements:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(el, dataclasses.fields(el)[0].name, None)
-        if isinstance(el, (Place, Transition)):
-            # slotted leaves hold no weak-reference slot
-            with pytest.raises(TypeError):
-                weakref.ref(el)
-        else:
-            assert weakref.ref(el)() is el
+        # slotted, with no weak-reference slot
+        with pytest.raises(TypeError):
+            weakref.ref(el)
 
 
 # ── net construction ─────────────────────────────────────────────────────────
@@ -721,9 +718,9 @@ def test_build_net_rejects_invalid_trees_built_in_code():
 
 
 def test_the_shape_check_runs_once_per_tree(monkeypatch):
-    # parse checks the shape as it reads, and build_net trusts what parse
-    # returned; a tree built in code is checked once, by whichever function
-    # sees it first
+    # parse checks the shape as it reads and runs the check only on a text at
+    # fault; validate_tree and build_net check the tree they are given once
+    # per call, whatever they were given before
     texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ecws"))]
     texts += [format_tree(tree) for seed in range(20) for tree in composed_pair(seed)]
     calls = []
@@ -734,20 +731,20 @@ def test_the_shape_check_runs_once_per_tree(monkeypatch):
         return check(*args, **kw)
 
     monkeypatch.setattr(ecws, "_validate", counted)
-    for text in texts:
-        build_net(parse(text))
+    trees = [parse(text) for text in texts]
     assert calls == []
+    for tree in trees:
+        build_net(tree)
+    assert calls == trees
     tree = deep_tree(30)
     validate_tree(tree)
-    assert len(calls) == 1
     validate_tree(tree)
     build_net(tree)
-    assert len(calls) == 1
-    build_net(deep_tree(30))
-    assert len(calls) == 2
-    # random trees are checked as they are drawn
-    build_net(random_tree(random.Random(1)))
-    assert len(calls) == 3
+    assert calls[len(trees):] == [tree] * 3
+    # random trees are checked as they are drawn, and again when wired
+    tree = random_tree(random.Random(1))
+    build_net(tree)
+    assert calls[len(trees) + 3:] == [tree] * 2
 
 
 def _assert_wired_from_source_to_sink(net) -> None:

@@ -32,6 +32,7 @@ from wfregions import (
 from conftest import composed_pair, fixture_pair, load_fixture
 from oracle_reference import (
     reference_check_soundness,
+    reference_fire,
     reference_oracle_classify,
     reference_reachability_graph,
     reference_reachable_markings,
@@ -212,7 +213,7 @@ def test_oracle_reads_no_ctree():
 def assert_explorer_invariants(net: WfNet) -> None:
     """Each state's enabled mask is the set of transitions whose input
     places it marks, and the predecessor lists, as a multiset, invert the
-    firing relation of ``wfnet.fire``."""
+    firing relation of ``reference_fire``."""
     index = wfnet._PlaceIndex(net)
     space = wfnet._explore(net, index, wfnet.DEFAULT_STATE_CAP)
     names = space.transitions
@@ -225,7 +226,7 @@ def assert_explorer_invariants(net: WfNet) -> None:
         enabled = [r for r, t in enumerate(names) if net.pre[t] <= marking]
         assert bits == sum(1 << r for r in enabled)
         for r in enabled:
-            firings[i, space.number[index.mask(wfnet.fire(net, marking, names[r]))]] += 1
+            firings[i, space.number[index.mask(reference_fire(net, marking, names[r]))]] += 1
     assert Counter((i, j) for j, preds in enumerate(space.preds) for i in preds) == firings
 
 

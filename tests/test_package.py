@@ -1,4 +1,5 @@
-"""The package's own source: no dead imports, and exports that match."""
+"""The package's own source: no dead imports, exports that match, and no
+dead exports."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import wfregions
 
 PACKAGE = Path(wfregions.__file__).parent
 SUBMODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def _imported_names(module: ast.Module) -> set[str]:
@@ -36,3 +38,26 @@ def test_all_names_exactly_what_the_package_imports():
     module = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(wfregions.__all__) == sorted(_imported_names(module))
     assert len(set(wfregions.__all__)) == len(wfregions.__all__)
+
+
+def _referenced_names(path: Path, strings: bool) -> set[str]:
+    """The names and attribute names the module reads, and with ``strings``
+    its string constants too (the benchmark's tracer names its targets)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_is_used_by_the_package_or_the_benchmark():
+    assert PERFBENCH
+    used = set().union(
+        *(_referenced_names(path, strings=False) for path in SUBMODULES),
+        *(_referenced_names(path, strings=True) for path in PERFBENCH),
+    )
+    assert sorted(set(wfregions.__all__) - used) == []

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 import wfregions.regions as regions
 
 from wfregions import (
+    CBlock,
     ChangeSets,
+    CNode,
     Decision,
     MemberClass,
     Place,
@@ -212,6 +214,33 @@ def test_gcs_runs_only_where_the_trees_differ(monkeypatch):
     assert change_sets(c, c2) == reference_change_sets(c, c2)
     assert calls
     assert all(p.startswith(("s20_", "s21_")) for p in calls)
+
+
+def _unshared_product(tops: tuple, others: tuple) -> CNode:
+    """The product of the branches of ``tops`` that are not in ``others`` as
+    one object; with none, the empty product, which generates the empty
+    marking only."""
+    shared = set(map(id, others))
+    return CNode((CBlock(tuple(b for b in tops if id(b) not in shared)),))
+
+
+def test_shared_branches_cancel_from_the_inclusion(corpus):
+    # with unique labels, a top-level gcs branch that is one object in both
+    # trees is a factor of both products, so the inclusion holds exactly when
+    # it holds between the remaining factors
+    pairs = [*corpus, *map(transposition_pair, range(800)), *map(composed_pair, range(40))]
+    checked = cancelled = 0
+    for old, new in pairs:
+        c = build_ctree(old)
+        c2 = build_ctree(new, like=c)
+        for p in sorted((c.place_set & c2.place_set) - c.own_places - c2.own_places):
+            g, g2 = gcs(p, c), gcs(p, c2)
+            tops, tops2 = regions._siblings(g), regions._siblings(g2)
+            rest, rest2 = _unshared_product(tops, tops2), _unshared_product(tops2, tops)
+            assert mpe_exists(g, g2) == mpe_exists(rest, rest2), (format_tree(old), p)
+            checked += 1
+            cancelled += not set(map(id, tops)).isdisjoint(map(id, tops2))
+    assert checked > cancelled > 0
 
 
 def test_sharing_leaves_every_fixture_report_unchanged(monkeypatch):
