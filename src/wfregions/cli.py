@@ -147,9 +147,6 @@ def compare_rows(
     oracle = oracle_classify(old_net, new_net, cap=cap)
     report = analyze(old, new)
     region = sese_region(old, old_net, new_net)
-    markings = sorted(oracle.reachable_old, key=marking_text)
-
-    rows = []
     # bound once: each is read per marking
     migratable, non_migratable = Decision.MIGRATABLE, Decision.NON_MIGRATABLE
     unknown = Decision.UNKNOWN
@@ -161,10 +158,11 @@ def compare_rows(
         ("SESE",
          lambda m: migratable if m.isdisjoint(improved) else non_migratable),
     ]
-    for approach, decide in scored:
-        counts = dict.fromkeys(_OUTCOMES, 0)
-        for m in markings:
-            truth = non_migratable if m in bad else migratable
+    tallies = [dict.fromkeys(_OUTCOMES, 0) for _ in scored]
+    # the counts do not depend on the order of the markings
+    for m in oracle.reachable_old:
+        truth = non_migratable if m in bad else migratable
+        for (_, decide), counts in zip(scored, tallies):
             got = decide(m)
             counts[
                 unknowns if got is unknown
@@ -172,8 +170,11 @@ def compare_rows(
                 else false_neg if got is non_migratable
                 else false_pos
             ] += 1
-        rows.append({"approach": approach, "totalMarkings": len(markings), **counts})
-    return rows
+    total = len(oracle.reachable_old)
+    return [
+        {"approach": approach, "totalMarkings": total, **counts}
+        for (approach, _), counts in zip(scored, tallies)
+    ]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

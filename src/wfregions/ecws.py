@@ -304,7 +304,12 @@ def rebuild(
 #: no repeat is ambiguous, and a match that fails does so in linear time.
 #: Writing the repeat as ``[\d_]`` or a word character not after a digit would
 #: let a digit after ``_`` match either way, and each ``_1`` of ``a1_1_…_1!``
-#: would double the ways the match can fail.
+#: would double the ways the match can fail.  :func:`format_tree` reads the
+#: rule one character at a time: a label starts with ``c`` where
+#: ``(c.isalnum() or c == "_") and not c.isdecimal()``, and it runs on from the
+#: label before unless that one ends in a decimal digit and ``c`` is not
+#: ``_``.  ``test_the_printer_reads_the_label_rule_on_every_code_point`` in
+#: ``tests/test_ecws.py`` holds both tests to this pattern.
 _LABEL = re.compile(r"[^\W\d]+(?:\d+_[^\W\d]*)*\d*")
 
 #: Separators (whitespace, commas, a ``#`` comment to the end of the line),
@@ -576,34 +581,26 @@ def format_tree(tree: BlockTree) -> str:
     """Render the canonical text of a block tree.
 
     The output contains no whitespace; a comma is inserted only where two
-    adjacent labels would otherwise scan as one.  The tree must be valid
-    (see :func:`validate_tree`), as labels are not checked one by one: an
-    empty label raises ParseError, and so does a label that fails to scan
-    where the comma after it is first decided.
+    adjacent labels would otherwise scan as one.  Every label's first
+    character is checked: a label that is empty or starts with neither a
+    letter nor ``_`` raises ParseError.  A label that goes wrong after its
+    first character is not caught, so the tree must be valid (see
+    :func:`validate_tree`).
     """
     out: list[str] = []
     last = ""  # the label just written, or "" after a bracket
-    # whether a label starting with the second character would run on from
-    # one ending with the first: only that character can change how it scans
-    runs_on: dict[tuple[str, str], bool] = {}
 
     def text(seq: SeqBlock) -> Generator[SeqBlock, None, None]:
         nonlocal last
         for child in seq.children:
             if isinstance(child, (Place, Transition)):
                 label = child.label
-                if not label:
+                # the two character tests of the label rule (see _LABEL)
+                c = label[:1]
+                if not (c.isalnum() or c == "_") or c.isdecimal():
                     raise ParseError(f"label {label!r} does not scan as one label")
-                if last:
-                    pair = (last[-1], label[0])
-                    comma = runs_on.get(pair)
-                    if comma is None:
-                        run = _LABEL.match(last + label[0])
-                        if run is None:
-                            raise ParseError(f"label {last!r} does not scan as one label")
-                        comma = runs_on[pair] = run.end() > len(last)
-                    if comma:
-                        out.append(",")
+                if last and (c == "_" or not last[-1].isdecimal()):
+                    out.append(",")
                 out.append(label)
                 last = label
             else:

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import os
 import pickle
 import random
 import tracemalloc
@@ -236,11 +237,42 @@ def test_format_inserts_commas_only_where_needed():
     (("1a", "t1", "p2"), "1a"),  # no label starts with a digit
     (("", "t1", "p2"), ""),  # an empty label with no label before it
     (("p1", "", "p2"), ""),  # and one after another label
+    # a pair of characters seen before does not excuse a label
+    (("pa", "ta", "p2", "1a", "p3"), "1a"),
+    (("p1", "t1", "1x"), "1x"),  # nor does ending the sequence
 ])
 def test_format_rejects_a_label_that_does_not_scan(labels, bad):
-    tree = SeqBlock((Place(labels[0]), Transition(labels[1]), Place(labels[2])))
+    tree = SeqBlock(tuple((Transition if i % 2 else Place)(label) for i, label in enumerate(labels)))
     with pytest.raises(ParseError, match=f"^label {bad!r} does not scan as one label$"):
         format_tree(tree)
+
+
+def test_the_printer_reads_the_label_rule_on_every_code_point():
+    # format_tree tests single characters where _LABEL reads whole labels,
+    # and both read this Python's Unicode tables: on every code point below
+    # U+10000 and every decimal digit above it, the printer must reject a
+    # label that _LABEL cannot start with it and place the commas _LABEL needs
+    high = (c for c in map(chr, range(0x10000, 0x110000)) if c.isdecimal())
+    starts, ends = [], []
+    for c in [*map(chr, range(0x10000)), *high]:
+        if ecws._LABEL.match(c):
+            # after a label ending in a digit and one ending in a letter
+            starts += ["a1", c, "ab", c]
+        else:
+            with pytest.raises(ParseError, match="does not scan"):
+                format_tree(SeqBlock((Place(c),)))
+        if ecws._LABEL.fullmatch("a" + c):
+            # before a label starting with ``_`` and one with a letter
+            ends += ["a" + c, "_" + c]
+    labels = starts + ends
+    want = [labels[0]]
+    for a, b in zip(labels, labels[1:]):
+        want += ["," * (ecws._LABEL.match(a + b[0]).end() > len(a)), b]
+    places = {label: Place(label) for label in labels}
+    got, want = format_tree(SeqBlock(tuple(map(places.get, labels)))), "".join(want)
+    # the text around the first difference, not a diff of the whole text
+    at = max(len(os.path.commonprefix([got, want])) - 20, 0)
+    assert got[at:at + 40] == want[at:at + 40]
 
 
 def test_format_parse_round_trip_preserves_tree():
