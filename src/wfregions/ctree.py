@@ -27,10 +27,16 @@ marking (:func:`generates`) is that test on the marking's own tree.
 
 No function here recurses.  Every walk (building, seeding the intern
 table, place sets, sampling, deletion, break-off, rendering) is a generator
-fold run by ``ecws._drive``, and a place is found by following
-``CNode.branch_of`` down from the root (:func:`locate`).  ``CNode`` and
-``CBlock`` compare, hash and print through ``ecws._Nested`` on that driver,
-with the dataclass results, which read ``elements`` and ``branches`` only.
+fold run by ``ecws._drive``, one step per C-node it enters, and a place is
+found by following ``CNode.branch_of`` down from the root (:func:`locate`).
+The build reads the choice and loop sequences of a node inside the node's
+own step, and deletion and break-off enter only the branches whose
+``place_set`` meets the labels.  Place sets are filled on first read, never
+at construction: on a chain of parallel blocks they hold a number of labels
+quadratic in its depth, which a build whose sets nobody reads should not
+pay for.  ``CNode`` and ``CBlock`` compare, hash and print through
+``ecws._Nested`` on that driver, with the dataclass results, which read
+``elements`` and ``branches`` only.
 
 The new net's tree can be built like the old one's, through an intern table
 (:func:`build_ctree`), so the two share every subtree they have in common,
@@ -154,8 +160,10 @@ def build_ctree(tree: BlockTree, like: CTree | None = None) -> CTree:
 
     Places of sequences, choice branches, and both loop parts all land in the
     same node; each parallel block becomes a CBlock element with one branch
-    node per parallel branch.  One fold over the sequences builds every node
-    after its children.
+    node per parallel branch.  One fold builds every node after its
+    children, in one step per node: a step reads its sequence's choices and
+    loops from a stack of its own, in walk order, and yields only parallel
+    branches, each the sequence of a node below.  No place set is filled.
 
     Given ``like`` (say, the old net's tree when building the new one's),
     every node and block goes through one intern table that starts with all
@@ -171,24 +179,31 @@ def build_ctree(tree: BlockTree, like: CTree | None = None) -> CTree:
         table = _Interner(like)
         node, block = table.node, table.block
 
-    def elements(seq: SeqBlock) -> Generator[SeqBlock, list, list]:
-        # a sequence's places and blocks, and those of its choices and loops
+    def step(seq: SeqBlock) -> Generator[SeqBlock, CNode, CNode]:
+        # one C-node: the places and blocks of a parallel branch (or of the
+        # root) and of its choices and loops, read in walk order from an own
+        # stack of the sequences still open; only parallel branches are
+        # yielded, as each is a C-node of its own
         out: list[str | CBlock] = []
-        for child in seq.children:
-            kind = child.__class__
-            if kind is Place:
-                out.append(child.label)
-            elif kind is AndBlock:
-                branches = []
-                for branch in child.branches:
-                    branches.append(node(tuple((yield branch))))
-                out.append(block(tuple(branches)))
-            elif kind is not Transition:
-                for branch in branches_of(child):
-                    out += yield branch
-        return out
+        todo = [iter(seq.children)]
+        while todo:
+            for child in todo[-1]:
+                kind = child.__class__
+                if kind is Place:
+                    out.append(child.label)
+                elif kind is AndBlock:
+                    branches = []
+                    for branch in child.branches:
+                        branches.append((yield branch))
+                    out.append(block(tuple(branches)))
+                elif kind is not Transition:
+                    todo += [iter(branch.children) for branch in reversed(branches_of(child))]
+                    break
+            else:
+                todo.pop()
+        return node(tuple(out))
 
-    return node(tuple(_drive(elements, tree)))
+    return _drive(step, tree)
 
 
 class _Interner:
@@ -313,9 +328,13 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
     """Remove the given places from every node, and so every block left with
     an empty branch: the result generates the markings of ``c`` avoiding them.
 
-    A node or block with nothing deleted below it is returned as the same
-    object, so only the nodes on the paths to deleted places are rebuilt,
-    and the deletions of two trees that share subtrees share them too.
+    The fold enters only the branches whose ``place_set`` meets ``labels``
+    (the first call on a tree fills the sets), and every other branch comes
+    back as the same object, unvisited.  A node or block with nothing
+    deleted below it is returned as the same object too, so only the nodes
+    on the paths to deleted places are rebuilt, and the deletions of two
+    trees that share subtrees share them too.  Exact on every tree,
+    repeated labels included: a place set holds every label below.
     """
 
     def rebuild(node: CNode) -> Generator[CNode, CNode, CNode]:
@@ -325,7 +344,9 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
             if not isinstance(el, str):
                 branches = []
                 for branch in el.branches:
-                    branches.append((yield branch))
+                    if not branch.place_set.isdisjoint(labels):
+                        branch = yield branch
+                    branches.append(branch)
                 if not all(map(operator.is_, branches, el.branches)):
                     el, changed = CBlock(tuple(branches)), True
                 elements.append(el)

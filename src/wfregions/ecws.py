@@ -18,9 +18,13 @@ three labels.
 
 ``parse`` produces a validated block tree in one pass over the scanner's
 tokens, building the tree and checking its shape as it goes, so a valid text
-is walked once.  It works out a line and column only when it raises: a shape
-error makes it read the text once more, noting where each element starts,
-and the shape check of ``validate_tree`` then names the fault.  The reader
+is walked once.  It makes its places, transitions, sequences and parallel
+and choice blocks through ``_make``, without the ``__init__`` that
+``dataclass`` generates for frozen types; nothing a caller can see tells
+them from the constructors' objects.  It works out a line and column only
+when it raises: a shape error makes it read the text once more, noting
+where each element starts, and the shape check of ``validate_tree`` then
+names the fault.  The reader
 does not check that each label scans as one, since a parsed label does so
 by construction.  ``format_tree`` prints the canonical
 separator-free text, and ``build_net`` checks a tree with ``validate_tree``
@@ -356,6 +360,23 @@ _CLOSER = {brackets[0]: brackets[1] for brackets, _, _ in _BLOCKS.values()}
 _BRACKETS = {*_OPENS, *_CLOSER.values()}
 
 
+#: The slot setter of each block-tree type with one field.
+_SETTERS = {cls: getattr(cls, fields(cls)[0].name).__set__
+            for cls in (Place, Transition, SeqBlock, AndBlock, XorBlock)}
+
+
+def _make(cls: type, value: Any, new: Callable = object.__new__) -> Any:
+    """``cls(value)`` for a block-tree type with one field, made without
+    the ``__init__`` that ``dataclass`` generates for frozen types, which
+    sets the field through ``object.__setattr__``: the object comes from
+    ``object.__new__`` and its one slot is set through the class's slot
+    descriptor.  The result is the constructor's: ``==``, ``hash``,
+    ``repr``, ``fields`` and frozenness do not tell them apart."""
+    obj = new(cls)
+    _SETTERS[cls](obj, value)
+    return obj
+
+
 def parse(text: str) -> BlockTree:
     """Parse ECWS text into a validated block tree.
 
@@ -404,7 +425,7 @@ def _read(text: str, at: dict[int, int] | None = None) -> tuple[BlockTree, bool]
             start, *seqs = run
             block_type = _OPENS[tokens[start]]
             if block_type is not LoopBlock:
-                block = block_type(tuple(seqs))
+                block = _make(block_type, tuple(seqs))
                 if len(seqs) < 2:
                     valid = False
             elif len(seqs) == 2:
@@ -422,7 +443,7 @@ def _read(text: str, at: dict[int, int] | None = None) -> tuple[BlockTree, bool]
             run = None
         if token not in _BRACKETS:
             if token:
-                leaf = (Transition if (len(children) + first) % 2 else Place)(token)
+                leaf = _make(Transition if (len(children) + first) % 2 else Place, token)
                 if at is not None:
                     at[id(leaf)] = k
                 children.append(leaf)
@@ -439,7 +460,7 @@ def _read(text: str, at: dict[int, int] | None = None) -> tuple[BlockTree, bool]
             # the kind of its slot, that is an odd count ending in a label
             if not (len(children) % 2 and isinstance(children[-1], (Place, Transition))):
                 valid = False
-            seq = SeqBlock(tuple(children))
+            seq = _make(SeqBlock, tuple(children))
             if at is not None:
                 at[id(seq)] = opened
             children, first, opened, run = stack.pop()
@@ -456,7 +477,7 @@ def _read(text: str, at: dict[int, int] | None = None) -> tuple[BlockTree, bool]
     if not (len(children) % 2 and isinstance(children[-1], (Place, Transition))):
         valid = False
     # no label occurs twice
-    return SeqBlock(tuple(children)), valid and len(set(labels)) == len(labels)
+    return _make(SeqBlock, tuple(children)), valid and len(set(labels)) == len(labels)
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:

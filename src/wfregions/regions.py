@@ -13,6 +13,7 @@ per-marking decisions with no false calls in either direction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,26 +69,30 @@ def change_sets(c: CTree, c2: CTree) -> ChangeSets:
     plus a break-off of the places lost from (or new in) the concurrent
     surroundings means strong.  A place's gcs depends only on its route, the
     chain of ``branch_of`` steps down to the node holding it, so the reformed
-    verdict is computed once per pair of old and new node.  Where one
-    outermost block object holds the place in both trees (an unchanged region
-    of trees built with ``build_ctree(new, like=old)``), the two routes are
-    one path, the two gcs trees are equal and the place is not reformed: no
-    route is followed, no gcs is built and nothing is checked.  Like
+    verdict is computed once per pair of old and new node.  Only the root's
+    own places and the places under the top-level blocks that the two roots
+    do not share are classified.  A place under a shared block (an unchanged
+    region of trees built with ``build_ctree(new, like=old)``) is in both
+    nets, in neither root, and on one route in both, so its two gcs trees
+    are equal and it is not reformed: it is never visited.  Like
     ``mpe_exists``, the verdicts are exact when each tree holds each label
     once, as every tree built from a net does.
     """
     r, lc, ac, wrc, src = set(), set(), set(), set(), set()
-    new_places, outer, outer2 = c2.place_set, c.branch_of, c2.branch_of
+    new_places, own, own2 = c2.place_set, c.own_places, c2.own_places
+    shared = set(map(id, c2.blocks))
+    below = [branch.place_set for block in c.blocks if id(block) not in shared
+             for branch in block.branches]
     verdicts: dict[tuple[int, int], tuple[bool, bool]] = {}
-    for p in c.place_set:
+    for p in itertools.chain(own, *below):
         if p not in new_places:
             r.add(p)
-        elif p in c.own_places:
-            if p not in c2.own_places:
+        elif p in own:
+            if p not in own2:
                 ac.add(p)
-        elif p in c2.own_places:
+        elif p in own2:
             lc.add(p)
-        elif outer[p][0] is not outer2[p][0]:
+        else:
             key = (id(locate(p, c)[1]), id(locate(p, c2)[1]))
             verdict = verdicts.get(key)
             if verdict is None:

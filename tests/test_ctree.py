@@ -32,6 +32,7 @@ from wfregions import (
     reachable_markings,
     sample_marking,
 )
+import wfregions.ctree as ctree
 from wfregions.randomnets import mutate_transpose_places
 
 from conftest import composed_pair, deep_tree, load_fixture
@@ -417,6 +418,71 @@ def test_block_lookup_index_equals_the_linear_scans():
                 assert hit is None
             else:
                 assert hit[0] is scan[0] and hit[1] == scan[1]
+
+
+# ── work ─────────────────────────────────────────────────────────────────────
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Counts the fold steps of ``_drive`` in ``ctree``: one per node a fold
+    enters, as ``test_chain_work_grows_linearly_with_its_levels`` counts."""
+    counts = {"steps": 0}
+    drive = ctree._drive
+
+    def counting_drive(step, root):
+        def counted(node):
+            counts["steps"] += 1
+            return step(node)
+        return drive(counted, root)
+
+    monkeypatch.setattr(ctree, "_drive", counting_drive)
+    return counts
+
+
+def test_building_takes_one_step_per_node(steps):
+    # choices and loops land in their parallel branch's node, so only the
+    # parallel branches are steps of their own; a build like another tree
+    # also seeds its table, one step per node of that tree
+    trees = [load_fixture(name) for name in ("nested", "parallel_old", "training_old")]
+    trees += [random_tree(random.Random(seed), 6, 30) for seed in range(20)]
+    trees += [*composed_pair(3), deep_tree(300)]
+    for old, new in zip(trees, trees[1:]):
+        steps["steps"] = 0
+        c = build_ctree(old)
+        assert steps["steps"] == len(_nodes(c))
+        steps["steps"] = 0
+        c2 = build_ctree(new, like=c)
+        assert steps["steps"] == len(_nodes(c)) + len(_nodes(c2))
+
+
+def _segments(k: int) -> CNode:
+    """The C-tree of ``k`` parallel blocks in series, two branches each."""
+    text = "w0" + "".join(f" a{i} (b{i} t{i} c{i})(d{i} u{i} e{i}) f{i} w{i + 1}" for i in range(k))
+    return build_ctree(parse(text))
+
+
+def test_deletion_enters_only_the_branches_that_meet_the_labels(steps):
+    # with the place sets filled (as change_sets leaves them), deleting one
+    # place takes the same steps however many segments lie beside it, and
+    # every block but its own comes back as the same object
+    counts = []
+    for k in (10, 40):
+        c = _segments(k)
+        c.place_set
+        steps["steps"] = 0
+        d = delete_places(c, {"b3"})
+        counts.append(steps["steps"])
+        assert places(d) == places(c) - {"b3"}
+        assert [i for i, (b, b2) in enumerate(zip(c.blocks, d.blocks)) if b is not b2] == [3]
+    assert counts[0] == counts[1] == 2
+
+
+def test_a_built_tree_holds_no_place_set():
+    # place sets are filled on first read, not at construction: setting them
+    # as nodes are built costs about 100x the memory on a deep chain
+    c = build_ctree(deep_tree(3000))
+    assert not any("place_set" in node.__dict__ for node in _nodes(c))
 
 
 # ── equality, hash and text ─────────────────────────────────────────────────

@@ -698,6 +698,38 @@ def test_block_tree_types_keep_their_fields_freeze_and_take_no_weak_references()
             weakref.ref(el)
 
 
+def _constructed(x):
+    """``x`` built again through the block-tree constructors (it recurses)."""
+    if type(x) is tuple:
+        return tuple(map(_constructed, x))
+    if type(x) in _FIELDS:
+        return type(x)(*(_constructed(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return x
+
+
+def test_parsed_trees_match_constructor_built_ones():
+    # the reader makes its leaves, sequences and blocks without the __init__
+    # that dataclass generates for frozen types; nothing tells them from the
+    # constructors' objects: fields, ==, hash, repr, frozenness, pickle bytes
+    rng = random.Random(20261022)
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ecws"))]
+    texts += [format_tree(random_tree(rng, 6, 20)) for _ in range(500)]
+    assert len(texts) == 514
+    for text in texts:
+        tree = parse(text)
+        built = _constructed(tree)
+        for el, twin in zip(_elements(tree), _elements(built), strict=True):
+            assert type(el) is type(twin) and el is not twin
+            assert [(f.name, f.type) for f in dataclasses.fields(el)] == _FIELDS[type(el)]
+            assert el == twin and hash(el) == hash(twin) and repr(el) == repr(twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(el, dataclasses.fields(el)[0].name, None)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(tree, protocol)
+            assert data == pickle.dumps(built, protocol) and pickle.loads(data) == built
+        assert copy.deepcopy(tree) == built
+
+
 # ── net construction ─────────────────────────────────────────────────────────
 
 
