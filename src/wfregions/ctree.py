@@ -30,13 +30,14 @@ table, place sets, sampling, deletion, break-off, rendering) is a generator
 fold run by ``ecws._drive``, one step per C-node it enters, and a place is
 found by following ``CNode.branch_of`` down from the root (:func:`locate`).
 The build reads the choice and loop sequences of a node inside the node's
-own step, and deletion and break-off enter only the branches whose
-``place_set`` meets the labels.  Place sets are filled on first read, never
-at construction: on a chain of parallel blocks they hold a number of labels
-quadratic in its depth, which a build whose sets nobody reads should not
-pay for.  ``CNode`` and ``CBlock`` compare, hash and print through
-``ecws._Nested`` on that driver, with the dataclass results, which read
-``elements`` and ``branches`` only.
+own step.  Break-off enters only the branches whose ``place_set`` meets
+the labels, and deletion skips the branches whose filled set misses them.
+Place sets are filled on first read, never at construction: on a chain of
+parallel blocks they hold a number of labels quadratic in its depth, which
+a build or a deletion whose sets nobody reads should not pay for.
+``CNode`` and ``CBlock`` compare, hash and print through ``ecws._Nested``
+on that driver, with the dataclass results, which read ``elements`` and
+``branches`` only.
 
 The new net's tree can be built like the old one's, through an intern table
 (:func:`build_ctree`), so the two share every subtree they have in common,
@@ -328,13 +329,12 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
     """Remove the given places from every node, and so every block left with
     an empty branch: the result generates the markings of ``c`` avoiding them.
 
-    The fold enters only the branches whose ``place_set`` meets ``labels``
-    (the first call on a tree fills the sets), and every other branch comes
-    back as the same object, unvisited.  A node or block with nothing
-    deleted below it is returned as the same object too, so only the nodes
-    on the paths to deleted places are rebuilt, and the deletions of two
-    trees that share subtrees share them too.  Exact on every tree,
-    repeated labels included: a place set holds every label below.
+    A node or block with nothing deleted below it is returned as the same
+    object, so only the nodes on the paths to deleted places are rebuilt,
+    and the deletions of two trees that share subtrees share them too.
+    A branch whose ``place_set`` is already filled (``change_sets`` fills
+    those of both trees) and misses ``labels`` comes back unvisited.  No
+    place set is filled here: on a fresh tree the fold enters every branch.
     """
 
     def rebuild(node: CNode) -> Generator[CNode, CNode, CNode]:
@@ -344,7 +344,8 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
             if not isinstance(el, str):
                 branches = []
                 for branch in el.branches:
-                    if not branch.place_set.isdisjoint(labels):
+                    known = branch.__dict__.get("place_set")
+                    if known is None or not known.isdisjoint(labels):
                         branch = yield branch
                     branches.append(branch)
                 if not all(map(operator.is_, branches, el.branches)):

@@ -365,14 +365,14 @@ _SETTERS = {cls: getattr(cls, fields(cls)[0].name).__set__
             for cls in (Place, Transition, SeqBlock, AndBlock, XorBlock)}
 
 
-def _make(cls: type, value: Any, new: Callable = object.__new__) -> Any:
+def _make(cls: type, value: Any) -> Any:
     """``cls(value)`` for a block-tree type with one field, made without
     the ``__init__`` that ``dataclass`` generates for frozen types, which
     sets the field through ``object.__setattr__``: the object comes from
     ``object.__new__`` and its one slot is set through the class's slot
     descriptor.  The result is the constructor's: ``==``, ``hash``,
     ``repr``, ``fields`` and frozenness do not tell them apart."""
-    obj = new(cls)
+    obj = object.__new__(cls)
     _SETTERS[cls](obj, value)
     return obj
 

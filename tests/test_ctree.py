@@ -462,14 +462,19 @@ def _segments(k: int) -> CNode:
     return build_ctree(parse(text))
 
 
-def test_deletion_enters_only_the_branches_that_meet_the_labels(steps):
-    # with the place sets filled (as change_sets leaves them), deleting one
-    # place takes the same steps however many segments lie beside it, and
-    # every block but its own comes back as the same object
+def test_deletion_skips_the_filled_branches_that_miss_the_labels(steps):
+    # on a fresh tree deletion enters every node and fills no place set; with
+    # the sets filled (here by places, in analyze by change_sets), deleting
+    # one place takes the same steps however many segments lie beside it,
+    # and every block but its own comes back as the same object
     counts = []
     for k in (10, 40):
         c = _segments(k)
-        c.place_set
+        steps["steps"] = 0
+        d = delete_places(c, {"b3"})
+        assert steps["steps"] == len(_nodes(c))
+        assert not any("place_set" in node.__dict__ for node in _nodes(c))
+        assert places(d) == places(c) - {"b3"}
         steps["steps"] = 0
         d = delete_places(c, {"b3"})
         counts.append(steps["steps"])
@@ -482,6 +487,9 @@ def test_a_built_tree_holds_no_place_set():
     # place sets are filled on first read, not at construction: setting them
     # as nodes are built costs about 100x the memory on a deep chain
     c = build_ctree(deep_tree(3000))
+    assert not any("place_set" in node.__dict__ for node in _nodes(c))
+    # nor does deleting a place from it
+    delete_places(c, {min(c.own_places)})
     assert not any("place_set" in node.__dict__ for node in _nodes(c))
 
 

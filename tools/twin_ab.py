@@ -2,17 +2,17 @@
 
 Run from the repository root::
 
-    python3 tools/twin_ab.py OLD_DIR NEW_DIR --workload large_structural --seed 1 --repeat 7
+    python3 tools/twin_ab.py OLD_DIR NEW_DIR --repeat 7
 
 Each directory is a package directory (``src/wfregions``) or the directory
 holding one (``src``).  The two are loaded under their own package names,
 ``twin_a`` and ``twin_b``, into one process, so both read the same heap and
 the same machine state, and no speed probe scales either.  The inputs are
-``perfbench/run.py``'s ``generate`` for the workload and seed.  Pair by pair
-the two sides alternate which runs first; each side parses both texts and
-runs ``analyze`` ``--repeat`` times, and its fastest run, per old place,
-is that pair's reading.  The decision loop (``decide_marking`` on the pair's
-sampled markings, ``large_structural`` only) is timed the same way.
+``perfbench/run.py``'s ``generate`` for ``large_structural``, seed 1.  Pair
+by pair the two sides alternate which runs first; each side parses both
+texts and runs ``analyze`` ``--repeat`` times, and its fastest run, per old
+place, is that pair's reading.  The decision loop (``decide_marking`` on
+the pair's sampled markings) is timed the same way.
 
 It prints, for each side: p50 and p75 over the pairs of parse plus
 ``analyze`` in microseconds per place, the number of pairs it won, its
@@ -39,6 +39,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run as bench  # noqa: E402  (perfbench/run.py: its generate and percentile)
 
 clock = time.perf_counter
+WORKLOAD, SEED = "large_structural", 1
 
 
 def load(name: str, directory: str) -> ModuleType:
@@ -71,13 +72,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="package directory of side A (the base)")
     parser.add_argument("b", help="package directory of side B (the change)")
-    parser.add_argument("--workload", choices=("large_structural", "oracle_corpus"), default="large_structural")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=7, help="runs per side and pair; the fastest counts")
     args = parser.parse_args(argv)
 
     sides = {"A": load("twin_a", args.a), "B": load("twin_b", args.b)}
-    pairs = bench.generate(args.workload, args.seed)
+    pairs = bench.generate(WORKLOAD, SEED)
     gc.collect()
     gc.freeze()  # the inputs stay live all run, as in the benchmark
 
@@ -96,21 +95,20 @@ def main(argv: list[str] | None = None) -> int:
 
             seconds[side], report = fastest(args.repeat, verdict)
             per_place[side].append(seconds[side] / pair.places * 1e6)
-            if pair.markings:
-                loop, _ = fastest(args.repeat, lambda: [W.decide_marking(m, report) for m in pair.markings])
-                decide_s[side] += loop
+            loop, _ = fastest(args.repeat, lambda: [W.decide_marking(m, report) for m in pair.markings])
+            decide_s[side] += loop
             digests[side].update(json.dumps(W.report_json(report), sort_keys=True).encode())
         decisions += len(pair.markings)
         if seconds["A"] != seconds["B"]:
             won[min(seconds, key=seconds.get)] += 1
 
-    print(f"workload {args.workload}  seed {args.seed}  pairs {len(pairs)}  repeat {args.repeat}")
+    print(f"workload {WORKLOAD}  seed {SEED}  pairs {len(pairs)}  repeat {args.repeat}")
     for side, directory in (("A", args.a), ("B", args.b)):
         values = per_place[side]
-        rate = f"{decisions / decide_s[side]:.4g}" if decide_s[side] else "-"
         print(f"  {side} {directory}: verdict_us_per_place p50 {bench.percentile(values, 0.50):.4f}"
               f"  p75 {bench.percentile(values, 0.75):.4f}  won {won[side]}"
-              f"  decisions_per_s {rate}  report_json {digests[side].hexdigest()[:16]}")
+              f"  decisions_per_s {decisions / decide_s[side]:.4g}"
+              f"  report_json {digests[side].hexdigest()[:16]}")
     ratios = [b / a for a, b in zip(per_place["A"], per_place["B"])]
     print(f"  B/A per pair: median {statistics.median(ratios):.4f}")
     if digests["A"].digest() != digests["B"].digest():
