@@ -30,8 +30,8 @@ table, place sets, sampling, deletion, break-off, rendering) is a generator
 fold run by ``ecws._drive``, one step per C-node it enters, and a place is
 found by following ``CNode.branch_of`` down from the root (:func:`locate`).
 The build reads the choice and loop sequences of a node inside the node's
-own step.  Break-off enters only the branches whose ``place_set`` meets
-the labels, and deletion skips the branches whose filled set misses them.
+own step.  Break-off and deletion skip the branches whose filled
+``place_set`` misses the labels, and neither fills a set.
 Place sets are filled on first read, never at construction: on a chain of
 parallel blocks they hold a number of labels quadratic in its depth, which
 a build or a deletion whose sets nobody reads should not pay for.
@@ -325,6 +325,15 @@ def generates(c: CTree, m: Marking) -> bool:
 # ── deletion, break-off ─────────────────────────────────────────────────────
 
 
+def _may_meet(branch: CNode, labels: frozenset[str] | set[str]) -> bool:
+    """Must a fold over ``labels`` enter ``branch``: is its ``place_set``
+    not filled yet, or does it meet them?  Deletion and break-off skip every
+    other branch, and neither fills a set: on a chain of parallel blocks the
+    sets hold a number of labels quadratic in its depth."""
+    known = branch.__dict__.get("place_set")
+    return known is None or not known.isdisjoint(labels)
+
+
 def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
     """Remove the given places from every node, and so every block left with
     an empty branch: the result generates the markings of ``c`` avoiding them.
@@ -344,8 +353,7 @@ def delete_places(c: CTree, labels: frozenset[str] | set[str]) -> CTree:
             if not isinstance(el, str):
                 branches = []
                 for branch in el.branches:
-                    known = branch.__dict__.get("place_set")
-                    if known is None or not known.isdisjoint(labels):
+                    if _may_meet(branch, labels):
                         branch = yield branch
                     branches.append(branch)
                 if not all(map(operator.is_, branches, el.branches)):
@@ -369,7 +377,9 @@ def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
     off, as a product's marking meets ``labels`` iff some branch's share
     does.  A branch whose ``place_set`` misses ``labels`` has a marking that
     avoids them (in normal form every branch generates one), so the fold
-    enters only branches that meet them.  Exact on every tree in normal
+    skips a branch whose set is filled and misses them, as deletion does.
+    It fills no set, and a branch it enters that misses them does not break
+    off, the answer that skipping it gives.  Exact on every tree in normal
     form, repeated labels included.
     """
 
@@ -378,7 +388,7 @@ def is_breakoff(c: CTree, labels: frozenset[str] | set[str]) -> bool:
             return False
         for block in node.blocks:
             for branch in block.branches:
-                if not branch.place_set.isdisjoint(labels) and (yield branch):
+                if _may_meet(branch, labels) and (yield branch):
                     break
             else:
                 return False

@@ -2,11 +2,11 @@
 
 The baseline has three stages.  The static region is every old-net node that
 touches an arc present in only one of the two nets.  The dynamic region
-grows each connected group of static nodes into the smallest place-bordered
-fragment of the old block tree containing it: a contiguous stretch of one
-sequence, where parallel, choice, and loop blocks count as indivisible — a
-group reaching into a block drags in the whole block, and padding that runs
-off a transition-bordered branch drags in the enclosing block instead.  The
+grows each static node into the smallest place-bordered fragment of the old
+block tree containing it: a contiguous stretch of one sequence, where
+parallel, choice, and loop blocks count as indivisible — a stretch reaching
+into a block drags in the whole block, and padding that runs off a
+transition-bordered branch drags in the enclosing block instead.  The
 improved region then drops each fragment's entry and exit place, keeping
 only the interior (``improved_region``, the trim of the literature), and
 ``sese_region`` gives back every dropped place that is itself static.  A
@@ -24,16 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ecws import (
-    BlockTree,
-    Element,
-    Place,
-    SeqBlock,
-    Transition,
-    branches_of,
-    place_labels,
-    walk,
-)
+from .ecws import BlockTree, Element, Place, SeqBlock, Transition, branches_of, walk
 from .wfnet import WfNet
 
 
@@ -52,22 +43,35 @@ def static_region(old: WfNet, new: WfNet) -> frozenset[str]:
     return frozenset(touched & old_nodes)
 
 
-def dynamic_region(
-    old_tree: BlockTree, old: WfNet, static_nodes: frozenset[str]
-) -> frozenset[str]:
+def dynamic_region(old_tree: BlockTree, static_nodes: frozenset[str]) -> frozenset[str]:
     """Places of the minimal place-bordered fragments covering the changes.
 
-    Static nodes are grouped into connected groups (two nodes are joined
-    when they share an arc of ``old``, the net of ``old_tree``); each group
-    is expanded to its fragment and the fragment place sets are unioned.
+    Each static node grows its own fragment (:func:`_expand`), and the
+    region is the union of their places.  This is the region of the
+    literature, which grows each connected group of static nodes as one:
+    every arc that leaves a sequence has a transition at one end, and that
+    transition's own fragment already spans the block the arc leaves, so
+    the fragments of a group's nodes cover the group's fragment.  One
+    worklist collects the places of the distinct stretches and of the
+    sequences in their blocks, and enters each stretch, a whole sequence
+    included, at most once.
     """
     if not static_nodes:
         return frozenset()
     index = _index_tree(old_tree)
     out: set[str] = set()
-    for group in _groups(old, static_nodes):
-        seq, lo, hi = _expand(index, group)
-        out |= place_labels(SeqBlock(seq.children[lo : hi + 1]))
+    seen: set[tuple[int, int, int]] = set()  # (id of the sequence, lo, hi)
+    todo = [_expand(index, label) for label in static_nodes]
+    while todo:
+        seq, lo, hi = todo.pop()
+        if (id(seq), lo, hi) in seen:
+            continue
+        seen.add((id(seq), lo, hi))
+        for child in seq.children[lo : hi + 1]:
+            if isinstance(child, Place):
+                out.add(child.label)
+            elif not isinstance(child, Transition):
+                todo += ((nested, 0, len(nested.children) - 1) for nested in branches_of(child))
     return frozenset(out)
 
 
@@ -126,7 +130,7 @@ def improved_region(old_tree: BlockTree, dynamic_places: frozenset[str]) -> froz
 
 def sese_region(old_tree: BlockTree, old: WfNet, new: WfNet) -> SeseRegion:
     static = static_region(old, new)
-    dynamic = dynamic_region(old_tree, old, static)
+    dynamic = dynamic_region(old_tree, static)
     improved = improved_region(old_tree, dynamic) | (dynamic & static)
     return SeseRegion(static, dynamic, improved)
 
@@ -149,44 +153,19 @@ def _index_tree(tree: BlockTree) -> dict[str | int, tuple[SeqBlock, int]]:
     return index
 
 
-def _groups(old: WfNet, static_nodes: frozenset[str]) -> list[set[str]]:
-    """The connected groups of static nodes, two nodes being joined when they
-    share an arc of ``old``: one pass over the arcs merges the groups of each
-    arc's two ends, the smaller into the larger."""
-    group = {n: {n} for n in static_nodes}
-    for a, b in old.arcs:
-        if a in group and b in group and group[a] is not group[b]:
-            small, large = sorted((group[a], group[b]), key=len)
-            large |= small
-            for n in small:
-                group[n] = large
-    return list({id(g): g for g in group.values()}.values())
-
-
-def _expand(
-    index: dict[str | int, tuple[SeqBlock, int]], group: set[str]
-) -> tuple[SeqBlock, int, int]:
-    """Smallest place-bordered stretch of one sequence covering the group."""
-    chains = []  # per label, its (sequence, index) at each level from the root
-    for label in group:
-        chain = [index[label]]
-        while id(chain[-1][0]) in index:
-            chain.append(index[id(chain[-1][0])])
-        chains.append(chain[::-1])
-    # the deepest level at which every chain is in one sequence
-    for level in zip(*chains):
-        if any(s is not level[0][0] for s, _ in level):
-            break
-        seq, idxs = level[0][0], {i for _, i in level}
+def _expand(index: dict[str | int, tuple[SeqBlock, int]], label: str) -> tuple[SeqBlock, int, int]:
+    """Smallest place-bordered stretch of one sequence covering ``label``:
+    its position padded to the nearest place on each side, one level up
+    (the enclosing block's position) wherever the padding runs off a
+    transition-bordered branch.  The root is place-bordered, so the climb
+    ends there at the latest."""
+    seq, i = index[label]
     while True:
-        lo, hi = min(idxs), max(idxs)
+        lo = hi = i
         while lo >= 0 and not isinstance(seq.children[lo], Place):
             lo -= 1
         while hi < len(seq.children) and not isinstance(seq.children[hi], Place):
             hi += 1
         if lo >= 0 and hi < len(seq.children):
             return seq, lo, hi
-        # padding ran off a transition-bordered branch: the enclosing block
-        # becomes part of the fragment, so retry one level up
         seq, i = index[id(seq)]
-        idxs = {i}

@@ -4,8 +4,10 @@ paths, kept word for word as a differential reference for ``wfregions.sese``.
 A path addresses a sequence by one (element index, branch index) step per
 nesting level; ``walk`` and ``seq_at`` here are the path walker and lookup
 that ``wfregions.ecws`` used to export.  ``_static_adjacency`` and
-``_components`` are the grouping of static nodes that ``wfregions.sese``
-used before it grouped them in one pass over the arcs.
+``_components`` group the static nodes into connected components, and each
+component grows as one fragment, from the deepest sequence its nodes share.
+``wfregions.sese`` grows each static node on its own, with no grouping and
+no net, and the tests hold it to the same region.
 """
 
 from __future__ import annotations

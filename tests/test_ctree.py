@@ -491,6 +491,10 @@ def test_a_built_tree_holds_no_place_set():
     # nor does deleting a place from it
     delete_places(c, {min(c.own_places)})
     assert not any("place_set" in node.__dict__ for node in _nodes(c))
+    # nor does deciding break-off on it, which once read the place set of
+    # every branch it met and so filled the sets of the whole tree
+    assert not is_breakoff(c, c.own_places)
+    assert not any("place_set" in node.__dict__ for node in _nodes(c))
 
 
 # ── equality, hash and text ─────────────────────────────────────────────────

@@ -3,6 +3,7 @@ single-entry/single-exit expansion, and the trimmed variant."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from wfregions import (
@@ -21,7 +22,14 @@ from wfregions import (
 import wfregions.ecws as ecws
 import wfregions.sese as sese
 from wfregions.ecws import branches_of
-from conftest import FIXTURES, deep_tree, fixture_pair, load_fixture
+from conftest import (
+    FIXTURES,
+    composed_pair,
+    deep_tree,
+    fixture_pair,
+    load_fixture,
+    transposition_pair,
+)
 from sese_reference import reference_dynamic_region
 
 
@@ -83,7 +91,7 @@ def test_pipeline_steps_compose():
     old, new = fixture_pair("xorloop_old", "xorloop_new")
     old_net, new_net = build_net(old), build_net(new)
     static = static_region(old_net, new_net)
-    dynamic = dynamic_region(old, old_net, static)
+    dynamic = dynamic_region(old, static)
     assert improved_region(old, dynamic) <= dynamic
     reg = sese_region(old, old_net, new_net)
     assert (reg.static_nodes, reg.dynamic_places, reg.improved_places) == (
@@ -104,8 +112,12 @@ def _sese_pairs(corpus):
 
 
 def test_dynamic_region_equals_the_path_reference(corpus):
+    # the reference grows each connected group of static nodes as one; the
+    # module grows each node on its own
     grown = 0
-    for old, new in _sese_pairs(corpus):
+    more = [transposition_pair(seed) for seed in range(800)]
+    more += [composed_pair(seed) for seed in range(20)]
+    for old, new in itertools.chain(_sese_pairs(corpus), more):
         old_net, new_net = build_net(old), build_net(new)
         region = sese_region(old, old_net, new_net)
         want = reference_dynamic_region(old, old_net, region.static_nodes)
@@ -113,6 +125,68 @@ def test_dynamic_region_equals_the_path_reference(corpus):
         grown += want > region.static_nodes & old_net.places
     # most fragments grow past the static places they cover
     assert grown > 500
+
+
+# ── a change at every level of a chain costs linear work ─────────────────────
+
+
+class _CountingDict(dict):
+    """A dict that counts its lookups (``[]``, ``in`` and ``get``)."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_a_change_at_every_level_costs_lookups_linear_in_the_depth(monkeypatch):
+    # every f place of the chain renamed, so every level holds static nodes;
+    # climbing each label's chain to the root to find its group's common
+    # sequence made the lookups quadratic (1,502,498 / 6,004,998 / 24,009,998).
+    # The blocks read count too: a stretch at every level holds the levels
+    # below it whole, and reading them again per stretch would be quadratic
+    made = []
+    index_tree = sese._index_tree
+    calls = 0
+
+    def f_renamed(seq, children):
+        return tuple(
+            Place("g" + el.label[1:]) if isinstance(el, Place) and el.label[0] == "f" else el
+            for el in children
+        )
+
+    def counted_index(tree):
+        made.append(_CountingDict(index_tree(tree)))
+        return made[-1]
+
+    def counted_branches(el):
+        nonlocal calls
+        calls += 1
+        return branches_of(el)
+
+    monkeypatch.setattr(sese, "_index_tree", counted_index)
+    monkeypatch.setattr(sese, "branches_of", counted_branches)
+    counts = []
+    for levels in (250, 500, 1000):
+        old = deep_tree(3 * levels)
+        new = ecws.rebuild(old, f_renamed)
+        made.clear()
+        calls = 0
+        region = sese_region(old, build_net(old), build_net(new))
+        # the root's e0 is static, so its fragment spans the whole root
+        assert region.dynamic_places == place_labels(old)
+        counts.append((sum(index.lookups for index in made), calls))
+    for series in zip(*counts):
+        assert all(b <= 2.2 * a for a, b in zip(series, series[1:])), counts
 
 
 # ── the improved region decides coverage in one fold ─────────────────────────
@@ -190,7 +264,7 @@ def test_improved_region_reads_each_block_a_bounded_number_of_times(monkeypatch)
     for depth in (300, 600):
         old, new = deep_tree(depth), deep_tree(depth, core=(Place("y"),))
         old_net, new_net = build_net(old), build_net(new)
-        dynamic = dynamic_region(old, old_net, static_region(old_net, new_net))
+        dynamic = dynamic_region(old, static_region(old_net, new_net))
         calls = 0
         with monkeypatch.context() as patch:
             patch.setattr(ecws, "branches_of", counted)
